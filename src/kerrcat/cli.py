@@ -30,7 +30,7 @@ from . import __version__
 from .cats import matrix_elements
 from .fidelity import average_infidelity
 from .fock import FockSpace, KerrCatParams
-from .noise import (NoiseModel, default_frequency_grid, filter_weight,
+from .noise import (NoiseModel, _deriv_trace, default_frequency_grid, filter_weight,
                     monte_carlo_infidelity, spectral_average_infidelity)
 from .optimize import ParamSpace, grid_optimize
 from .pulses import (SchemeInfeasibleError, envelope_integral, scheme_kerr_gate,
@@ -298,7 +298,8 @@ def cmd_noise(cfg: dict, out: Path) -> int:
     build, _ = make_builder(scheme, alpha2, T, cfg, space, rl_cache)
     sched = build(**cfg.get("pulse_params", {}))
     omegas = default_frequency_grid(T)
-    ff = filter_weight(sched, omegas, space)
+    deriv = _deriv_trace(sched, space)
+    ff = filter_weight(sched, omegas, space, deriv_trace=deriv)
     out.mkdir(parents=True, exist_ok=True)
     ff.to_csv(out / "filter_weight.csv")
     noise_cfg = cfg.get("noise", {"kind": "ornstein-uhlenbeck",
@@ -306,7 +307,8 @@ def cmd_noise(cfg: dict, out: Path) -> int:
                                   "seed": cfg["seed"]})
     model = NoiseModel(**noise_cfg)
     result = {**_meta(cfg),
-              "spectral_infidelity": spectral_average_infidelity(sched, model, omegas, space)}
+              "spectral_infidelity": spectral_average_infidelity(
+                  sched, model, omegas, space, deriv_trace=deriv)}
     if cfg.get("monte_carlo", False):
         result["monte_carlo_infidelity"] = monte_carlo_infidelity(
             sched, model, space, n_traces=int(cfg.get("n_traces", 100)))

@@ -1,10 +1,17 @@
 """Time-ordered propagation of pulse schedules.
 
 Second-order midpoint-exponential stepping: the Hamiltonian is sampled at
-the midpoint of each interval and exponentiated exactly via Hermitian
-eigendecomposition. Several detuning offsets are propagated at once by
-stacking the Hamiltonians and calling the batched eigh, which is where
-nearly all the runtime goes.
+the midpoint of each interval and exponentiated exactly via its
+eigendecomposition. One kernel stacks the steps of every detuning row and
+calls the batched eigh, which is where nearly all the runtime goes. It
+picks the cheapest exact path from the operators that enter H with
+non-zero values:
+
+* parity blocks -- every operator is real and has no even<->odd Fock
+  entries (drift, ``delta``, ``eps2_mod``): two real-symmetric eigh stacks
+  of half the dimension, with the time-ordered products kept per block;
+* real -- every operator is real (no ``eps_y``): one real-symmetric stack;
+* general -- complex Hermitian eigh.
 """
 
 from __future__ import annotations
@@ -36,38 +43,95 @@ class PropagationResult:
         return float(1.0 - s.min() ** 2)
 
 
-def _midpoint_hamiltonians(schedule, assembly, times, delta_offsets):
-    """Stacked (n_offsets, n_steps, d, d) midpoint Hamiltonians."""
-    mid = 0.5 * (times[:-1] + times[1:])
-    d = assembly.drift.shape[0]
-    nf = len(delta_offsets)
-    H = np.broadcast_to(assembly.drift, (len(mid), d, d)).copy()
-    for name in schedule.channels:
-        if name == "g":
-            continue
-        vals = schedule.channel_at(name, mid)
-        H += vals[:, None, None] * assembly.channels[name]
-    n_ch = assembly.channels["delta"]
-    stacked = H[None, :, :, :] + np.asarray(delta_offsets)[:, None, None, None] * n_ch
-    return np.ascontiguousarray(stacked.reshape(nf * len(mid), d, d)), len(mid)
+def _is_real(op: np.ndarray) -> bool:
+    return not np.any(np.imag(op))
 
 
-def _propagate_once(schedule, assembly, n_steps, delta_offsets):
+def _keeps_parity(op: np.ndarray) -> bool:
+    """True when ``op`` has no entries between even and odd Fock states."""
+    return not (np.any(op[0::2, 1::2]) or np.any(op[1::2, 0::2]))
+
+
+def _step_exponentials(H: np.ndarray, dt: float) -> np.ndarray:
+    """exp(-i H dt) for a Hermitian matrix or stack of them, as complex.
+
+    A real ``H`` takes the real-symmetric eigensolver, and the real and
+    imaginary parts V cos(w dt) V^T and -V sin(w dt) V^T are built from real
+    products straight into the complex result.
+    """
+    w, V = np.linalg.eigh(H)
+    del H  # callers pass a temporary stack; free it before the products
+    if np.isrealobj(V):
+        Vt = np.swapaxes(V, -1, -2)
+        out = np.empty(V.shape, dtype=complex)
+        scaled = V * np.cos(w * dt)[..., None, :]
+        part = scaled @ Vt
+        out.real = part
+        np.multiply(V, -np.sin(w * dt)[..., None, :], out=scaled)
+        np.matmul(scaled, Vt, out=part)
+        out.imag = part
+        return out
+    scaled = V * np.exp(-1j * w * dt)[..., None, :]
+    np.conj(V, out=V)
+    return scaled @ np.swapaxes(V, -1, -2)
+
+
+def _stacked_hamiltonians(drift, ops, values, block, real):
+    """drift + sum_j values[..., j] ops[j], restricted to ``block`` x ``block``."""
+    b = len(block)
+    sel = np.ix_(block, block)
+    O = np.array([op[sel] for op in ops]).reshape(len(ops), b * b)
+    base = drift[sel]
+    if real:
+        O, base = O.real, base.real
+    H = values.reshape(values.shape[0] * values.shape[1], len(ops)) @ O
+    H += base.reshape(-1)
+    return H.reshape(-1, b, b)
+
+
+def _propagate_steps(drift, ops, values, dt) -> np.ndarray:
+    """Time-ordered products of the midpoint step exponentials exp(-i H_k dt).
+
+    ``H_k = drift + sum_j values[b, k, j] ops[j]`` for ``values`` of shape
+    (batch, n_steps, len(ops)); returns the (batch, d, d) propagators.
+    """
+    batch, n_steps, _ = values.shape
+    present = np.any(values, axis=(0, 1))
+    ops = [op for op, p in zip(ops, present) if p]
+    values = values[:, :, present]
+    d = drift.shape[0]
+    real = all(_is_real(op) for op in (drift, *ops))
+    if real and all(_keeps_parity(op) for op in (drift, *ops)):
+        blocks = (np.arange(0, d, 2), np.arange(1, d, 2))
+    else:
+        blocks = (np.arange(d),)
+    U = np.zeros((batch, d, d), dtype=complex)
+    for block in blocks:
+        steps = _step_exponentials(_stacked_hamiltonians(drift, ops, values, block, real), dt)
+        steps = steps.reshape(batch, n_steps, len(block), len(block))
+        prod = steps[:, 0]
+        for k in range(1, n_steps):
+            prod = steps[:, k] @ prod
+        U[:, block[:, None], block[None, :]] = prod
+    return U
+
+
+def _propagate_schedule(schedule, assembly, n_steps, delta_rows) -> np.ndarray:
+    """(batch, d, d) propagators with ``delta_rows`` (batch, n_steps) added to ``delta``."""
     times = np.linspace(0.0, schedule.duration, n_steps + 1)
-    dt = times[1] - times[0]
-    H_all, n_mid = _midpoint_hamiltonians(schedule, assembly, times, delta_offsets)
-    w, V = np.linalg.eigh(H_all)
-    phases = np.exp(-1j * w * dt)
-    steps = (V * phases[:, None, :]) @ V.conj().transpose(0, 2, 1)
-    d = assembly.drift.shape[0]
-    steps = steps.reshape(len(delta_offsets), n_mid, d, d)
-    out = np.empty((len(delta_offsets), d, d), dtype=complex)
-    for f in range(len(delta_offsets)):
-        U = np.eye(d, dtype=complex)
-        for k in range(n_mid):
-            U = steps[f, k] @ U
-        out[f] = U
-    return out
+    mid = 0.5 * (times[:-1] + times[1:])
+    names = ["delta", *(c for c in schedule.channels if c not in ("delta", "g"))]
+    values = np.empty((len(delta_rows), n_steps, len(names)))
+    for j, name in enumerate(names):
+        values[:, :, j] = schedule.channel_at(name, mid)
+    values[:, :, 0] += delta_rows
+    ops = [assembly.channels[name] for name in names]
+    return _propagate_steps(assembly.drift, ops, values, times[1] - times[0])
+
+
+def _result(U: np.ndarray, step_count: int) -> PropagationResult:
+    defect = float(np.linalg.norm(U.conj().T @ U - np.eye(U.shape[0]), ord='fro'))
+    return PropagationResult(unitary=U, unitarity_defect=defect, step_count=step_count)
 
 
 def propagate_many(
@@ -86,11 +150,16 @@ def propagate_many(
     """
     delta_offsets = np.atleast_1d(np.asarray(delta_offsets, dtype=float))
     assembly = HamiltonianAssembly.build(schedule.base, space)
-    U = _propagate_once(schedule, assembly, n_steps, delta_offsets)
+
+    def run(n):
+        rows = np.broadcast_to(delta_offsets[:, None], (len(delta_offsets), n))
+        return _propagate_schedule(schedule, assembly, n, rows)
+
+    U = run(n_steps)
     steps_used = n_steps
     if refine:
         for _ in range(max_doublings):
-            U2 = _propagate_once(schedule, assembly, 2 * steps_used, delta_offsets)
+            U2 = run(2 * steps_used)
             err = max(np.linalg.norm(U2[f] - U[f], ord=2) for f in range(len(delta_offsets)))
             U, steps_used = U2, 2 * steps_used
             if err < refine_tol:
@@ -99,13 +168,7 @@ def propagate_many(
             raise StiffScheduleError(
                 f"propagator not converged to {refine_tol} after {steps_used} steps"
             )
-    results = []
-    eye = np.eye(space.dim)
-    for f in range(len(delta_offsets)):
-        defect = float(np.linalg.norm(U[f].conj().T @ U[f] - eye, ord='fro'))
-        results.append(PropagationResult(unitary=U[f], unitarity_defect=defect,
-                                         step_count=steps_used))
-    return results
+    return [_result(Uf, steps_used) for Uf in U]
 
 
 def propagate(
@@ -136,18 +199,8 @@ def propagate_noise_trace(
     if len(delta_trace) != n_steps:
         raise ValueError(f"delta_trace length {len(delta_trace)} != n_steps {n_steps}")
     assembly = HamiltonianAssembly.build(schedule.base, space)
-    times = np.linspace(0.0, schedule.duration, n_steps + 1)
-    dt = times[1] - times[0]
-    H_all, n_mid = _midpoint_hamiltonians(schedule, assembly, times, [0.0])
-    H_all = H_all + delta_trace[:, None, None] * assembly.channels["delta"]
-    w, V = np.linalg.eigh(H_all)
-    phases = np.exp(-1j * w * dt)
-    steps = (V * phases[:, None, :]) @ V.conj().transpose(0, 2, 1)
-    U = np.eye(space.dim, dtype=complex)
-    for k in range(n_mid):
-        U = steps[k] @ U
-    defect = float(np.linalg.norm(U.conj().T @ U - np.eye(space.dim), ord='fro'))
-    return PropagationResult(unitary=U, unitarity_defect=defect, step_count=n_steps)
+    U = _propagate_schedule(schedule, assembly, n_steps, delta_trace[None, :])[0]
+    return _result(U, n_steps)
 
 
 def adiabaticity_diagnostic(
@@ -166,17 +219,13 @@ def adiabaticity_diagnostic(
     assembly = HamiltonianAssembly.build(schedule.base, space)
     pi_op = parity_operator(space)
     t = np.linspace(0.0, schedule.duration, n_samples)
-    dt = t[1] - t[0]
+    Hs = [assembly.at({name: schedule.channel_at(name, tk)
+                       for name in schedule.channels if name != "g"}) for tk in t]
     worst = 0.0
-    for k in range(len(t)):
-        vals = {name: schedule.channel_at(name, t[k]) for name in schedule.channels
-                if name != "g"}
-        H = assembly.at(vals)
-        # forward-difference dH/dt from the channel envelopes
-        tk2 = min(t[k] + dt, schedule.duration)
-        vals2 = {name: schedule.channel_at(name, tk2) for name in schedule.channels
-                 if name != "g"}
-        dH = (assembly.at(vals2) - H) / max(tk2 - t[k], 1e-30)
+    for k, H in enumerate(Hs):
+        # dH/dt from the channel envelopes: forward difference, backward at t = T
+        lo = min(k, len(t) - 2)
+        dH = (Hs[lo + 1] - Hs[lo]) / (t[lo + 1] - t[lo])
         spec = diagonalize_labeled(H, pi_op)
         for comp, e_comp in ((spec.psi0, spec.energies[spec.comp_indices[0]]),
                              (spec.psi1, spec.energies[spec.comp_indices[1]])):

@@ -21,6 +21,7 @@ from scipy.linalg import expm, logm
 
 from .cats import matrix_elements
 from .fock import FockSpace, HamiltonianAssembly, KerrCatParams, destroy
+from .propagation import _is_real, _step_exponentials
 from .pulses import PAULI_X, PAULI_Y
 from .spectral import spectrum_at
 
@@ -166,7 +167,11 @@ def full_two_mode_propagate(
     delta_B: float = 0.0,
     n_steps: int = 400,
 ) -> np.ndarray:
-    """Midpoint-exponential propagation of the coupled two-mode system."""
+    """Midpoint-exponential propagation of the coupled two-mode system.
+
+    One full-dimension step exponential per step; real when the
+    beamsplitter phase makes the coupling real.
+    """
     if space.dim > 24:
         raise ValueError("per-mode dim > 24 is beyond the intended scale here")
     H0, coupling, _ = two_mode_hamiltonian_parts(params_A, params_B, space, phase)
@@ -180,10 +185,11 @@ def full_two_mode_propagate(
     dt = grid[1] - grid[0]
     mid = 0.5 * (grid[:-1] + grid[1:])
     g_mid = np.interp(mid, times, g)
+    if _is_real(H0) and _is_real(coupling):
+        H0, coupling = H0.real, coupling.real
     U = np.eye(H0.shape[0], dtype=complex)
     for gk in g_mid:
-        w, V = np.linalg.eigh(H0 + gk * coupling)
-        U = (V * np.exp(-1j * w * dt)[None, :]) @ V.conj().T @ U
+        U = _step_exponentials(H0 + gk * coupling, dt) @ U
     return U
 
 

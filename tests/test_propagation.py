@@ -1,13 +1,25 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import expm
 
 from kerrcat.fidelity import computational_pair, infidelity
-from kerrcat.fock import FockSpace, KerrCatParams, parity_operator
-from kerrcat.propagation import (adiabaticity_diagnostic, propagate,
+from kerrcat.fock import FockSpace, HamiltonianAssembly, KerrCatParams, parity_operator
+from kerrcat.propagation import (_propagate_steps, adiabaticity_diagnostic, propagate,
                                  propagate_many, propagate_noise_trace)
-from kerrcat.pulses import idle_schedule, scheme_kerr_gate, scheme_x, scheme_z_straight
+from kerrcat.pulses import (PulseSchedule, idle_schedule, rot_z, scheme_kerr_gate,
+                            scheme_x, scheme_z_straight)
+from kerrcat.spectral import diagonalize_labeled
 
 SPACE = FockSpace(30)
+
+#: channel sets of the kernel's three paths: parity blocks, real, general
+STRUCTURE_CLASSES = {
+    "parity": ("delta", "eps2_mod"),
+    "real": ("delta", "eps_x"),
+    "general": ("eps_x", "eps_y", "eps2_mod"),
+}
 
 
 def test_drift_only_diagonal_phases():
@@ -80,14 +92,16 @@ def test_propagate_many_matches_single():
 
 
 def test_noise_trace_static_limit():
+    # X runs the real path, straight-line Z the parity-block path
     p = KerrCatParams.from_alpha2(2.0)
-    s = scheme_x(20.0, 0.05, p, n_samples=201)
     n_steps = 300
-    const = propagate(s, SPACE, delta_offset=2e-3, n_steps=n_steps)
-    traced = propagate_noise_trace(s, SPACE, np.full(n_steps, 2e-3), n_steps=n_steps)
-    assert np.linalg.norm(const.unitary - traced.unitary) < 1e-12
-    with pytest.raises(ValueError):
-        propagate_noise_trace(s, SPACE, np.zeros(10), n_steps=20)
+    for s in (scheme_x(20.0, 0.05, p, n_samples=201),
+              scheme_z_straight(20.0, 0.4, -0.5, p, n_samples=201)):
+        const = propagate(s, SPACE, delta_offset=2e-3, n_steps=n_steps)
+        traced = propagate_noise_trace(s, SPACE, np.full(n_steps, 2e-3), n_steps=n_steps)
+        assert np.linalg.norm(const.unitary - traced.unitary) < 1e-12
+        with pytest.raises(ValueError):
+            propagate_noise_trace(s, SPACE, np.zeros(10), n_steps=20)
 
 
 def test_leakage_diagnostic():
@@ -108,6 +122,102 @@ def test_adiabaticity_diagnostic_ordering():
     slow = adiabaticity_diagnostic(scheme_z_straight(40.0, 0.5, -1.0, p, n_samples=201),
                                    SPACE, n_samples=41)
     assert fast > 2.0 * slow
+
+
+def test_adiabaticity_diagnostic_includes_final_sample():
+    # a linear pump ramp shrinks the cat, so the gap is smallest and the
+    # ratio largest at t = T; the last sample needs a backward difference
+    p = KerrCatParams.from_alpha2(2.0)
+    space = FockSpace(20)
+    T, rate = 10.0, -0.15
+    times = np.linspace(0.0, T, 11)
+    s = PulseSchedule(times=times, channels={"eps2_mod": rate * times}, target=rot_z(0.0),
+                      scheme="RAMP", base=p)
+    asm = HamiltonianAssembly.build(p, space)
+    dH = rate * asm.channels["eps2_mod"]
+
+    def ratio_at(t):
+        spec = diagonalize_labeled(asm.at({"eps2_mod": rate * t}), parity_operator(space))
+        return max(abs(np.vdot(spec.states[:, j], dH @ comp))
+                   / (spec.energies[j] - spec.energies[i]) ** 2
+                   for comp, i in ((spec.psi0, spec.comp_indices[0]),
+                                   (spec.psi1, spec.comp_indices[1]))
+                   for j in spec.excited_indices())
+
+    assert ratio_at(T) > 1.01 * ratio_at(T - 1.0)
+    assert adiabaticity_diagnostic(s, space, n_samples=11) == pytest.approx(ratio_at(T),
+                                                                           rel=1e-9)
+
+
+def _random_channels(kind, dim, n_steps, batch, seed):
+    """Assembly, operators and (batch, n_steps, n_ops) values of one structure class."""
+    rng = np.random.default_rng(seed)
+    params = KerrCatParams.from_alpha2(rng.uniform(0.0, 3.0), delta=rng.uniform(-1.0, 1.0))
+    asm = HamiltonianAssembly.build(params, FockSpace(dim))
+    ops = [asm.channels[name] for name in STRUCTURE_CLASSES[kind]]
+    return asm, ops, rng.uniform(-1.0, 1.0, size=(batch, n_steps, len(ops)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(sorted(STRUCTURE_CLASSES)), dim=st.integers(2, 12),
+       n_steps=st.integers(1, 6), batch=st.integers(1, 3), seed=st.integers(0, 2**32 - 1),
+       dt=st.floats(0.01, 0.2))
+def test_kernel_matches_expm_product(kind, dim, n_steps, batch, seed, dt):
+    asm, ops, values = _random_channels(kind, dim, n_steps, batch, seed)
+    U = _propagate_steps(asm.drift, ops, values, dt)
+    for b in range(batch):
+        ref = np.eye(dim, dtype=complex)
+        for k in range(n_steps):
+            H = asm.drift + sum(v * op for v, op in zip(values[b, k], ops))
+            ref = expm(-1j * H * dt) @ ref
+        assert np.linalg.norm(U[b] - ref, ord=2) < 1e-12
+        assert np.linalg.norm(U[b].conj().T @ U[b] - np.eye(dim), ord=2) < 1e-12
+
+
+@pytest.mark.parametrize("kind, zero, eigh_calls", [
+    ("parity", None, [(np.float64, 4), (np.float64, 3)]),
+    ("real", None, [(np.float64, 7)]),
+    ("general", None, [(np.complex128, 7)]),
+    # channels whose values are all zero do not enter the choice
+    ("general", 1, [(np.float64, 7)]),
+    ("general", 0, [(np.complex128, 7)]),
+])
+def test_kernel_path_follows_present_operators(monkeypatch, kind, zero, eigh_calls):
+    asm, ops, values = _random_channels(kind, 7, 5, 2, seed=3)
+    if zero is not None:
+        values[:, :, zero] = 0.0
+    seen = []
+    eigh = np.linalg.eigh
+
+    def recording_eigh(H):
+        seen.append((H.dtype.type, H.shape[-1]))
+        return eigh(H)
+
+    monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
+    _propagate_steps(asm.drift, ops, values, 0.1)
+    assert seen == eigh_calls
+
+
+def _random_schedule(kind, seed, n_samples=9):
+    rng = np.random.default_rng(seed)
+    times = np.linspace(0.0, rng.uniform(1.0, 4.0), n_samples)
+    channels = {name: rng.uniform(-0.5, 0.5, n_samples) for name in STRUCTURE_CLASSES[kind]}
+    return PulseSchedule(times=times, channels=channels, target=np.eye(2, dtype=complex),
+                         scheme="RANDOM", base=KerrCatParams.from_alpha2(rng.uniform(0.5, 2.5)))
+
+
+@settings(max_examples=20, deadline=None)
+@given(kind=st.sampled_from(sorted(STRUCTURE_CLASSES)), dim=st.integers(2, 12),
+       seed=st.integers(0, 2**32 - 1),
+       offsets=st.lists(st.floats(-0.05, 0.05), min_size=1, max_size=4))
+def test_propagate_many_rows_equal_single_calls(kind, dim, seed, offsets):
+    s = _random_schedule(kind, seed)
+    space = FockSpace(dim)
+    many = propagate_many(s, space, offsets, n_steps=40)
+    for off, res in zip(offsets, many):
+        single = propagate(s, space, delta_offset=off, n_steps=40)
+        assert np.linalg.norm(res.unitary - single.unitary) < 1e-12
+        assert res.unitarity_defect < 1e-12
 
 
 def test_kerr_gate_zero_detuning_exact():

@@ -136,6 +136,20 @@ def test_full_two_mode_matches_effective_model():
     assert cyy == pytest.approx(np.real(np.trace(_YY @ H_unit)) / 4.0, rel=0.05)
 
 
+def test_full_two_mode_real_path_matches_complex():
+    # phase 0 gives a real coupling (real path); phase 2 pi leaves a
+    # round-off imaginary part, which forces the complex path
+    space = FockSpace(6)
+    pa = KerrCatParams.from_alpha2(1.0)
+    pb = KerrCatParams.from_alpha2(1.5)
+    env = scheme_xx_envelope(4.0, 0.2, n_samples=41)
+    U_real = full_two_mode_propagate(pa, pb, space, env, delta_A=0.01, n_steps=30)
+    U_cplx = full_two_mode_propagate(pa, pb, space, env, phase=2.0 * np.pi, delta_A=0.01,
+                                     n_steps=30)
+    assert np.max(np.abs(U_real - U_cplx)) < 1e-10
+    assert np.max(np.abs(U_real.conj().T @ U_real - np.eye(36))) < 1e-12
+
+
 def test_dim_guard():
     pa = KerrCatParams.from_alpha2(1.0)
     times = np.linspace(0, 1, 11)
