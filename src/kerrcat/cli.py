@@ -21,7 +21,6 @@ import csv
 import hashlib
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -245,7 +244,7 @@ def cmd_robust_line(cfg: dict, out: Path) -> int:
     return 0
 
 
-def cmd_gate_sweep(cfg: dict, out: Path, threads: int = 1) -> int:
+def cmd_gate_sweep(cfg: dict, out: Path) -> int:
     scheme = cfg.get("scheme")
     if scheme is None:
         raise ConfigError("gate-sweep needs a 'scheme' entry")
@@ -258,10 +257,8 @@ def cmd_gate_sweep(cfg: dict, out: Path, threads: int = 1) -> int:
                                                 n_points=40)
             except NoRobustPointError:
                 rl_caches[a2] = None
-    points = [(a2, T) for a2 in cfg["alpha2_list"] for T in cfg["T_list"]]
 
-    def run(pt):
-        a2, T = pt
+    def run(a2, T):
         try:
             return _sweep_point(scheme, float(a2), float(T), cfg, space,
                                 rl_caches.get(a2))
@@ -269,11 +266,7 @@ def cmd_gate_sweep(cfg: dict, out: Path, threads: int = 1) -> int:
             return {"scheme": scheme, "alpha2": a2, "T": T,
                     "feasible": False, "reason": f"{type(exc).__name__}: {exc}"}
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            records = list(pool.map(run, points))
-    else:
-        records = [run(pt) for pt in points]
+    records = [run(a2, T) for a2 in cfg["alpha2_list"] for T in cfg["T_list"]]
     payload = {**_meta(cfg), "config": cfg, "records": records}
     _write_json(out / "gate_sweep.json", payload)
     with open(out / "gate_sweep.csv", "w", newline="") as fh:
@@ -369,7 +362,6 @@ def main(argv=None) -> int:
     parser.add_argument("--config", help="JSON config path or preset name "
                         f"({', '.join(PRESETS)})")
     parser.add_argument("--out", default="out", help="output directory")
-    parser.add_argument("--threads", type=int, default=1)
     parser.add_argument("--seed", type=int)
     parser.add_argument("--fock-dim", type=int, dest="fock_dim")
     parser.add_argument("command", choices=["spectrum", "gate-sweep", "robust-line",
@@ -388,7 +380,7 @@ def main(argv=None) -> int:
         if args.command == "robust-line":
             return cmd_robust_line(cfg, out)
         if args.command == "gate-sweep":
-            return cmd_gate_sweep(cfg, out, threads=args.threads)
+            return cmd_gate_sweep(cfg, out)
         if args.command == "noise":
             return cmd_noise(cfg, out)
         if args.command == "twoqubit":

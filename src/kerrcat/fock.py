@@ -86,6 +86,46 @@ def parity_operator(space: FockSpace) -> np.ndarray:
     return np.diag((-1.0) ** np.arange(space.dim)).astype(complex)
 
 
+def parity_blocks(dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Fock indices of the even- and odd-parity sectors."""
+    return np.arange(0, dim, 2), np.arange(1, dim, 2)
+
+
+def is_real(op: np.ndarray) -> bool:
+    return not np.any(np.imag(op))
+
+
+def keeps_parity(op: np.ndarray) -> bool:
+    """True when ``op`` has no entries between even and odd Fock states."""
+    return not (np.any(op[0::2, 1::2]) or np.any(op[1::2, 0::2]))
+
+
+def present_channels(ops, values):
+    """The operators that enter with some non-zero value, and their value columns.
+
+    ``values[..., j]`` holds the scalars that multiply ``ops[j]``.
+    """
+    present = np.any(values, axis=tuple(range(values.ndim - 1)))
+    return [op for op, p in zip(ops, present) if p], values[..., present]
+
+
+def block_hamiltonians(drift, ops, values, block, real) -> np.ndarray:
+    """drift + sum_j values[..., j] ops[j] on ``block`` x ``block``, stacked.
+
+    The stack runs over the leading axes of ``values``; with ``real`` set
+    the imaginary parts are dropped and the stack is float64.
+    """
+    b = len(block)
+    sel = np.ix_(block, block)
+    mats = np.array([drift[sel], *(op[sel] for op in ops)])
+    if real:
+        mats = mats.real
+    rows = int(np.prod(values.shape[:-1]))
+    H = values.reshape(rows, len(ops)) @ mats[1:].reshape(len(ops), b * b)
+    H += mats[0].reshape(-1)
+    return H.reshape(*values.shape[:-1], b, b)
+
+
 @dataclass(frozen=True)
 class HamiltonianAssembly:
     """Drift Hamiltonian plus the coupling operator of each control channel.

@@ -20,8 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import FockSpace, HamiltonianAssembly
+from .fock import (FockSpace, HamiltonianAssembly, block_hamiltonians, is_real, keeps_parity,
+                   parity_blocks, present_channels)
 from .pulses import PulseSchedule
+from .spectral import _comp_columns, _parity_spectra
 
 
 class StiffScheduleError(RuntimeError):
@@ -41,15 +43,6 @@ class PropagationResult:
         # worst case over computational inputs: smallest singular value
         s = np.linalg.svd(block, compute_uv=False)
         return float(1.0 - s.min() ** 2)
-
-
-def _is_real(op: np.ndarray) -> bool:
-    return not np.any(np.imag(op))
-
-
-def _keeps_parity(op: np.ndarray) -> bool:
-    """True when ``op`` has no entries between even and odd Fock states."""
-    return not (np.any(op[0::2, 1::2]) or np.any(op[1::2, 0::2]))
 
 
 def _step_exponentials(H: np.ndarray, dt: float) -> np.ndarray:
@@ -76,19 +69,6 @@ def _step_exponentials(H: np.ndarray, dt: float) -> np.ndarray:
     return scaled @ np.swapaxes(V, -1, -2)
 
 
-def _stacked_hamiltonians(drift, ops, values, block, real):
-    """drift + sum_j values[..., j] ops[j], restricted to ``block`` x ``block``."""
-    b = len(block)
-    sel = np.ix_(block, block)
-    O = np.array([op[sel] for op in ops]).reshape(len(ops), b * b)
-    base = drift[sel]
-    if real:
-        O, base = O.real, base.real
-    H = values.reshape(values.shape[0] * values.shape[1], len(ops)) @ O
-    H += base.reshape(-1)
-    return H.reshape(-1, b, b)
-
-
 def _propagate_steps(drift, ops, values, dt) -> np.ndarray:
     """Time-ordered products of the midpoint step exponentials exp(-i H_k dt).
 
@@ -96,19 +76,16 @@ def _propagate_steps(drift, ops, values, dt) -> np.ndarray:
     (batch, n_steps, len(ops)); returns the (batch, d, d) propagators.
     """
     batch, n_steps, _ = values.shape
-    present = np.any(values, axis=(0, 1))
-    ops = [op for op, p in zip(ops, present) if p]
-    values = values[:, :, present]
+    ops, values = present_channels(ops, values)
     d = drift.shape[0]
-    real = all(_is_real(op) for op in (drift, *ops))
-    if real and all(_keeps_parity(op) for op in (drift, *ops)):
-        blocks = (np.arange(0, d, 2), np.arange(1, d, 2))
+    real = all(is_real(op) for op in (drift, *ops))
+    if real and all(keeps_parity(op) for op in (drift, *ops)):
+        blocks = parity_blocks(d)
     else:
         blocks = (np.arange(d),)
     U = np.zeros((batch, d, d), dtype=complex)
     for block in blocks:
-        steps = _step_exponentials(_stacked_hamiltonians(drift, ops, values, block, real), dt)
-        steps = steps.reshape(batch, n_steps, len(block), len(block))
+        steps = _step_exponentials(block_hamiltonians(drift, ops, values, block, real), dt)
         prod = steps[:, 0]
         for k in range(1, n_steps):
             prod = steps[:, k] @ prod
@@ -213,26 +190,21 @@ def adiabaticity_diagnostic(
     Standard Landau-Zener figure of merit; values well below 1 indicate the
     computational manifold is followed adiabatically.
     """
-    from .fock import parity_operator
-    from .spectral import diagonalize_labeled
-
     assembly = HamiltonianAssembly.build(schedule.base, space)
-    pi_op = parity_operator(space)
     t = np.linspace(0.0, schedule.duration, n_samples)
-    Hs = [assembly.at({name: schedule.channel_at(name, tk)
-                       for name in schedule.channels if name != "g"}) for tk in t]
-    worst = 0.0
-    for k, H in enumerate(Hs):
-        # dH/dt from the channel envelopes: forward difference, backward at t = T
-        lo = min(k, len(t) - 2)
-        dH = (Hs[lo + 1] - Hs[lo]) / (t[lo + 1] - t[lo])
-        spec = diagonalize_labeled(H, pi_op)
-        for comp, e_comp in ((spec.psi0, spec.energies[spec.comp_indices[0]]),
-                             (spec.psi1, spec.energies[spec.comp_indices[1]])):
-            for j in spec.excited_indices():
-                gap = spec.energies[j] - e_comp
-                if abs(gap) < 1e-12:
-                    continue
-                amp = abs(np.vdot(spec.states[:, j], dH @ comp)) / gap**2
-                worst = max(worst, amp)
-    return float(worst)
+    names = [name for name in schedule.channels if name != "g"]
+    ops = [assembly.channels[name] for name in names]
+    values = np.array([schedule.channel_at(name, t) for name in names])
+    values = values.reshape(len(names), n_samples).T
+    energies, states = _parity_spectra(assembly.drift, ops, values)
+    # dH/dt from the channel envelopes: forward difference, backward at t = T
+    rates = np.diff(values, axis=0) / np.diff(t)[:, None]
+    rates = np.concatenate([rates, rates[-1:]])
+    comp = list(_comp_columns(space.dim))
+    bra = np.swapaxes(states, -1, -2).conj()
+    amps = np.abs(sum(rates[:, j, None, None] * (bra @ (op @ states[..., comp]))
+                      for j, op in enumerate(ops)))
+    gaps = energies[:, :, None] - energies[:, None, comp]
+    excited = ~np.isin(np.arange(space.dim), comp)
+    usable = excited[:, None] & (np.abs(gaps) >= 1e-12)
+    return float(np.max(amps / np.where(usable, gaps, np.inf) ** 2))

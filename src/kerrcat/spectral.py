@@ -7,6 +7,9 @@ eigenstates of H = delta n - K/2 a^dag2 a^2 + eps2/2 (a^2 + a^dag2).
 highest-energy odd-parity state; the ladder of "excited" states used for
 leakage and DRAG analysis continues downward in energy.
 
+Every Hamiltonian labeled here commutes with photon-number parity, so the
+even and odd Fock sectors are diagonalized separately and the labels are exact.
+
 The detuning derivative of the computational gap is evaluated with the
 Hellmann-Feynman identity d E_j / d delta = <psi_j| a^dag a |psi_j>.
 """
@@ -15,7 +18,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -24,14 +27,18 @@ from .fock import (
     HamiltonianAssembly,
     InvalidInputError,
     KerrCatParams,
+    block_hamiltonians,
     hermiticity_defect,
-    number_operator,
+    is_real,
+    parity_blocks,
     parity_operator,
+    present_channels,
 )
 
 HERMITICITY_TOL = 1e-12
 PARITY_COMM_TOL = 1e-8
-DEGENERACY_TOL = 1e-10
+#: Closest approach (units K) of a computational state to its sector neighbor.
+NEIGHBOR_TOL = 1e-8
 
 
 class ParityLabelError(ValueError):
@@ -87,58 +94,85 @@ class LabeledSpectrum:
         return out if count is None else out[:count]
 
 
-def _fix_gauge(states: np.ndarray) -> np.ndarray:
-    """Make the largest-magnitude Fock coefficient of each column real positive."""
-    out = states.copy()
-    for k in range(out.shape[1]):
-        idx = np.argmax(np.abs(out[:, k]))
-        phase = out[idx, k] / abs(out[idx, k])
-        out[:, k] /= phase
-    return out
+def _comp_columns(dim: int) -> tuple[int, int]:
+    """Columns of |0> and |1> in the block order of :func:`_parity_spectra`."""
+    return (dim + 1) // 2 - 1, dim - 1
+
+
+def _parity_spectra(drift: np.ndarray, ops, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Energies and states of H = drift + sum_j values[..., j] ops[j], stacked.
+
+    Every operator must be Hermitian and commute with parity; each Fock
+    parity block is diagonalized on its own, real-symmetric (real states)
+    when all operators are real. Block order: even sector, then odd, each
+    ascending, so |0>, |1> sit at :func:`_comp_columns` and the next state
+    down in a sector one column before. Each state's largest-magnitude
+    Fock coefficient is real and positive.
+    """
+    ops, values = present_channels(ops, values)
+    if not np.all(np.isfinite(values)):
+        raise InvalidInputError("non-finite Hamiltonian coefficient")
+    for op in (drift, *ops):
+        if not np.all(np.isfinite(op)) or hermiticity_defect(op) > HERMITICITY_TOL:
+            raise InvalidInputError("Hamiltonian is not a finite Hermitian matrix")
+        # ||[op, Pi]||_F = 2 ||even<->odd entries of op||_F
+        coupling = np.hypot(np.linalg.norm(op[0::2, 1::2]), np.linalg.norm(op[1::2, 0::2]))
+        if 2.0 * coupling > PARITY_COMM_TOL * np.linalg.norm(op):
+            raise ParityLabelError("Hamiltonian does not commute with the parity operator")
+
+    real = all(is_real(op) for op in (drift, *ops))
+    d = drift.shape[-1]
+    energies = np.empty((*values.shape[:-1], d))
+    states = np.zeros((*values.shape[:-1], d, d), dtype=float if real else complex)
+    column = 0
+    for block in parity_blocks(d):
+        w, V = np.linalg.eigh(block_hamiltonians(drift, ops, values, block, real))
+        pivot = np.take_along_axis(V, np.argmax(np.abs(V), axis=-2)[..., None, :], axis=-2)
+        cols = slice(column, column + len(block))
+        energies[..., cols] = w
+        states[..., block, cols] = V / (pivot / np.abs(pivot))
+        column += len(block)
+    return energies, states
+
+
+def _hf_slope(psi0: np.ndarray, psi1: np.ndarray) -> np.ndarray:
+    """Hellmann-Feynman gap slope <psi_1|n|psi_1> - <psi_0|n|psi_0> (stackable)."""
+    return (np.abs(psi1) ** 2 - np.abs(psi0) ** 2) @ np.arange(psi0.shape[-1])
+
+
+def _gap_slopes(drift: np.ndarray, ops, values: np.ndarray):
+    """E_01, dE_01/ddelta and the smaller parity-sector gap along a stack.
+
+    Arguments as for :func:`_parity_spectra`.
+    """
+    energies, states = _parity_spectra(drift, ops, values)
+    i0, i1 = _comp_columns(drift.shape[-1])
+    sector_gap = np.full(values.shape[:-1], np.inf)
+    for top, size in ((i0, i0 + 1), (i1, i1 - i0)):
+        if size > 1:
+            sector_gap = np.minimum(sector_gap, energies[..., top] - energies[..., top - 1])
+    gap = energies[..., i1] - energies[..., i0]
+    return gap, _hf_slope(states[..., i0], states[..., i1]), sector_gap
 
 
 def diagonalize_labeled(H: np.ndarray, parity: np.ndarray) -> LabeledSpectrum:
     """Dense Hermitian eigendecomposition with parity labels.
 
-    Within numerically degenerate pairs the eigenvectors are rotated to
-    diagonalize the parity operator, so labels stay well defined at the
-    delta = 0 degeneracy point.
+    ``parity`` must be the Fock parity diag((-1)^n); the even and odd Fock
+    sectors are diagonalized separately, so the labels are exact also at
+    the delta = 0 degeneracy point.
     """
-    if hermiticity_defect(H) > HERMITICITY_TOL:
-        raise InvalidInputError("Hamiltonian is not Hermitian")
-    scale = np.linalg.norm(H)
-    comm = H @ parity - parity @ H
-    if scale > 0 and np.linalg.norm(comm) / scale > PARITY_COMM_TOL:
-        raise ParityLabelError("Hamiltonian does not commute with the parity operator")
-
-    energies, states = np.linalg.eigh(H)
-
-    # rotate degenerate groups into the parity eigenbasis
-    groups = []
-    start = 0
-    for k in range(1, len(energies) + 1):
-        if k == len(energies) or energies[k] - energies[k - 1] > DEGENERACY_TOL:
-            if k - start > 1:
-                groups.append((start, k))
-            start = k
-    for lo, hi in groups:
-        block = states[:, lo:hi]
-        pi_block = block.conj().T @ parity @ block
-        pi_block = 0.5 * (pi_block + pi_block.conj().T)
-        _, rot = np.linalg.eigh(pi_block)
-        states[:, lo:hi] = block @ rot
-
-    states = _fix_gauge(states)
-    diag_pi = np.einsum("ij,jk,ki->i", states.conj().T, parity, states).real
-    parities = np.where(diag_pi >= 0, 1, -1).astype(int)
-
-    even = np.flatnonzero(parities > 0)
-    odd = np.flatnonzero(parities < 0)
-    if len(even) == 0 or len(odd) == 0:
-        raise ParityLabelError("spectrum lacks one parity sector entirely")
-    i0 = int(even[np.argmax(energies[even])])
-    i1 = int(odd[np.argmax(energies[odd])])
-    return LabeledSpectrum(energies=energies, states=states, parities=parities, comp_indices=(i0, i1))
+    d = H.shape[-1]
+    if not np.array_equal(parity, parity_operator(FockSpace(d))):
+        raise InvalidInputError("parity must be the Fock parity diag((-1)^n)")
+    energies, states = _parity_spectra(H, [], np.empty(0))
+    parities = np.where(np.arange(d) <= _comp_columns(d)[0], 1, -1)
+    order = np.argsort(energies, kind="stable")
+    rank = np.argsort(order)
+    i0, i1 = (int(rank[i]) for i in _comp_columns(d))
+    return LabeledSpectrum(energies=energies[order],
+                           states=states[:, order].astype(np.result_type(H, float)),
+                           parities=parities[order], comp_indices=(i0, i1))
 
 
 def spectrum_at(params: KerrCatParams, delta_shift: float, space: FockSpace) -> LabeledSpectrum:
@@ -152,28 +186,30 @@ def energy_gap(params: KerrCatParams, delta_shift: float, space: FockSpace) -> f
     return spectrum_at(params, delta_shift, space).gap
 
 
+def _checked_slopes(assembly: HamiltonianAssembly, deltas, neighbor_tol: float) -> np.ndarray:
+    """Gap derivatives at the detuning shifts ``deltas``, refusing near-degenerate states."""
+    _, slopes, sector_gap = _gap_slopes(assembly.drift, [assembly.channels["delta"]],
+                                        np.asarray(deltas, dtype=float)[:, None])
+    if np.any(sector_gap < neighbor_tol * assembly.params.kerr):
+        raise IllConditionedError(
+            "computational state nearly degenerate with its parity-sector neighbor"
+        )
+    return slopes
+
+
 def gap_derivative(
     params: KerrCatParams,
     delta_shift: float,
     space: FockSpace,
-    neighbor_tol: float = 1e-8,
+    neighbor_tol: float = NEIGHBOR_TOL,
 ) -> float:
     """Detuning derivative of the gap via Hellmann-Feynman.
 
     d E_01 / d delta = <psi_1|n|psi_1> - <psi_0|n|psi_0>. Valid when the
     computational states are separated from their parity-sector neighbors.
     """
-    spec = spectrum_at(params, delta_shift, space)
-    n = number_operator(space)
-    for idx, sector in zip(spec.comp_indices, (spec.even_indices(), spec.odd_indices())):
-        others = spec.energies[sector[sector != idx]]
-        if len(others) and np.min(np.abs(others - spec.energies[idx])) < neighbor_tol * params.kerr:
-            raise IllConditionedError(
-                "computational state nearly degenerate with its parity-sector neighbor"
-            )
-    n0 = np.vdot(spec.psi0, n @ spec.psi0).real
-    n1 = np.vdot(spec.psi1, n @ spec.psi1).real
-    return float(n1 - n0)
+    assembly = HamiltonianAssembly.build(params, space)
+    return float(_checked_slopes(assembly, [delta_shift], neighbor_tol)[0])
 
 
 #: Minimum parity-sector gap (units K) at the robust point for it to count
@@ -200,43 +236,25 @@ def robust_line(
     crossing with leakage states, both of which happen for small cat sizes.
     """
     params = KerrCatParams.from_alpha2(alpha2, kerr=kerr)
-
-    def deriv(delta):
-        return gap_derivative(params, delta, space)
-
+    assembly = HamiltonianAssembly.build(params, space)
     grid = np.linspace(kerr / coarse_points, kerr * (1 - 1e-9), coarse_points)
-    values = [deriv(d) for d in grid]
-    bracket = None
-    for k in range(len(grid) - 1):
-        if values[k] > 0 and values[k + 1] <= 0:
-            bracket = (grid[k], grid[k + 1], values[k], values[k + 1])
-            break
-    if bracket is None:
+    values = _checked_slopes(assembly, grid, NEIGHBOR_TOL)
+    crossings = np.flatnonzero((values[:-1] > 0) & (values[1:] <= 0))
+    if len(crossings) == 0:
         raise NoRobustPointError(
             f"gap derivative has no + -> - sign change in (0, K) at alpha2={alpha2}"
         )
-    lo, hi, flo, fhi = bracket
-    root = None
+    lo, hi = grid[crossings[0]], grid[crossings[0] + 1]
+    root = 0.5 * (lo + hi)
     while hi - lo > delta_tol * kerr:
-        mid = 0.5 * (lo + hi)
-        fmid = deriv(mid)
+        fmid = _checked_slopes(assembly, [root], NEIGHBOR_TOL)[0]
         if abs(fmid) < deriv_tol:
-            root = mid
             break
-        if fmid > 0:
-            lo, flo = mid, fmid
-        else:
-            hi, fhi = mid, fmid
-    if root is None:
+        lo, hi = (root, hi) if fmid > 0 else (lo, root)
         root = 0.5 * (lo + hi)
 
-    spec = spectrum_at(params, root, space)
-    i0, i1 = spec.comp_indices
-    sector_gap = np.inf
-    for idx, sector in ((i0, spec.even_indices()), (i1, spec.odd_indices())):
-        others = spec.energies[sector[sector != idx]]
-        if len(others):
-            sector_gap = min(sector_gap, np.min(np.abs(others - spec.energies[idx])))
+    _, _, sector_gap = _gap_slopes(assembly.drift, [assembly.channels["delta"]],
+                                   np.array([root]))
     if sector_gap < ROBUST_SECTOR_GAP_MIN * kerr:
         raise NoRobustPointError(
             f"gap maximum at alpha2={alpha2} sits on an avoided crossing "
@@ -275,15 +293,12 @@ def gap_landscape(
     alpha2s = np.asarray(alpha2_grid, dtype=float)
     gap = np.empty((len(deltas), len(alpha2s)))
     deriv = np.empty_like(gap)
-    n = number_operator(space)
     for j, a2 in enumerate(alpha2s):
         params = KerrCatParams.from_alpha2(a2, kerr=kerr)
         for i, d in enumerate(deltas):
             spec = spectrum_at(params, d, space)
             gap[i, j] = spec.gap
-            n0 = np.vdot(spec.psi0, n @ spec.psi0).real
-            n1 = np.vdot(spec.psi1, n @ spec.psi1).real
-            deriv[i, j] = n1 - n0
+            deriv[i, j] = _hf_slope(spec.psi0, spec.psi1)
     return GapLandscape(delta_grid=deltas, alpha2_grid=alpha2s, gap=gap, gap_deriv=deriv)
 
 

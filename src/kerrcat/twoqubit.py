@@ -20,8 +20,8 @@ import numpy as np
 from scipy.linalg import expm, logm
 
 from .cats import matrix_elements
-from .fock import FockSpace, HamiltonianAssembly, KerrCatParams, destroy
-from .propagation import _is_real, _step_exponentials
+from .fock import FockSpace, HamiltonianAssembly, KerrCatParams, destroy, is_real
+from .propagation import _step_exponentials
 from .pulses import PAULI_X, PAULI_Y
 from .spectral import spectrum_at
 
@@ -185,7 +185,7 @@ def full_two_mode_propagate(
     dt = grid[1] - grid[0]
     mid = 0.5 * (grid[:-1] + grid[1:])
     g_mid = np.interp(mid, times, g)
-    if _is_real(H0) and _is_real(coupling):
+    if is_real(H0) and is_real(coupling):
         H0, coupling = H0.real, coupling.real
     U = np.eye(H0.shape[0], dtype=complex)
     for gk in g_mid:

@@ -11,7 +11,7 @@ from kerrcat.pulses import (InvalidRampError, SchemeInfeasibleError,
                             scheme_y_drag, scheme_z_robustline,
                             scheme_z_straight, seed_eps_x0, truncated_gaussian,
                             truncated_gaussian_deriv)
-from kerrcat.spectral import RobustLineCache
+from kerrcat.spectral import RobustLineCache, energy_gap, gap_derivative
 
 SPACE = FockSpace(30)
 
@@ -30,6 +30,15 @@ def test_envelope_quarter_value():
     val = ((np.exp(-1 / 32) - np.exp(-1 / 8)) / (1 - np.exp(-1 / 8))) ** 2
     assert truncated_gaussian(10.0, 40.0) == pytest.approx(val)
     assert val == pytest.approx(0.544883, abs=5e-6)
+    # the envelope integral matches its closed form in erf
+    from scipy.special import erf
+
+    E = np.exp(-1 / 8)
+    for T in (1.0, 15.0, 20.0, 40.0):
+        closed = T / (1 - E) ** 2 * (np.sqrt(np.pi) * erf(0.5)
+                                     - 2 * E * np.sqrt(2 * np.pi) * erf(1 / (2 * np.sqrt(2)))
+                                     + E**2)
+        assert envelope_integral(T) == pytest.approx(closed, rel=1e-12)
 
 
 def test_envelope_domain_guard():
@@ -140,7 +149,6 @@ def test_scheme_z_robustline_trajectory(robust_cache_2):
 
 
 def test_scheme_z_robustline_tracks_derivative_zero(robust_cache_2):
-    from kerrcat.spectral import gap_derivative
     p = KerrCatParams.from_alpha2(2.0)
     s = scheme_z_robustline(40.0, 6.0, -0.8, p, robust_cache_2, n_samples=801)
     mid = (s.times > 8.0) & (s.times < 32.0)
@@ -186,6 +194,12 @@ def test_predicted_angle_static_term(robust_cache_2):
     p = KerrCatParams.from_alpha2(2.0)
     s = scheme_z_robustline(40.0, 6.0, -0.8, p, robust_cache_2, n_samples=401)
     t, gap, deriv = gap_traces(s, SPACE, n_samples=101)
+    # each row of the stacked trace equals a single-point spectrum
+    for k in (0, 30, 50, 100):
+        pk = KerrCatParams(eps2_0=2.0 + s.channel_at("eps2_mod", t[k]))
+        dk = s.channel_at("delta", t[k])
+        assert gap[k] == pytest.approx(energy_gap(pk, dk, SPACE), abs=1e-11)
+        assert deriv[k] == pytest.approx(gap_derivative(pk, dk, SPACE), abs=1e-11)
     theta0 = predicted_angle(s, 0.0, SPACE, n_samples=101)
     assert theta0 == pytest.approx(-np.trapezoid(gap, t), rel=1e-12)
     # first-order coefficient enters linearly in the detuning shift

@@ -1,9 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from kerrcat.fock import FockSpace, KerrCatParams, build_hamiltonian, parity_operator
+from kerrcat.fock import (FockSpace, InvalidInputError, KerrCatParams, build_hamiltonian,
+                          parity_operator)
+from kerrcat.propagation import adiabaticity_diagnostic
+from kerrcat.pulses import scheme_x
 from kerrcat.spectral import (IllConditionedError, NoRobustPointError,
-                              ParityLabelError, RobustLineCache,
+                              ParityLabelError, RobustLineCache, _parity_spectra,
                               diagonalize_labeled, energy_gap, gap_derivative,
                               gap_landscape, robust_line, spectrum_at)
 
@@ -75,14 +80,76 @@ def test_parity_label_error():
     H = build_hamiltonian(KerrCatParams(), space, {"eps_x": 0.5})
     with pytest.raises(ParityLabelError):
         diagonalize_labeled(H, parity_operator(space))
+    # the X drive couples the parity sectors, so no schedule step can be labeled
+    with pytest.raises(ParityLabelError):
+        adiabaticity_diagnostic(scheme_x(10.0, 0.1, KerrCatParams.from_alpha2(2.0),
+                                         n_samples=21), space, n_samples=5)
+
+
+def test_labeled_input_guards():
+    space = FockSpace(6)
+    H = build_hamiltonian(KerrCatParams.from_alpha2(1.0), space)
+    with pytest.raises(InvalidInputError):
+        diagonalize_labeled(H, -parity_operator(space))
+    H[0, 2] += 1e-3
+    with pytest.raises(InvalidInputError):
+        diagonalize_labeled(H, parity_operator(space))
 
 
 def test_degenerate_pair_rotated_to_parity_basis():
-    spec = spectrum_at(KerrCatParams.from_alpha2(2.0), 0.0, SPACE)
-    pi = parity_operator(SPACE)
-    for idx, sign in zip(spec.comp_indices, (1, -1)):
-        v = spec.states[:, idx]
-        assert np.vdot(v, pi @ v).real == pytest.approx(sign, abs=1e-9)
+    # small truncations split the delta = 0 pair by more than rounding; the
+    # states must still carry no amplitude in the other parity sector
+    for dim, alpha2 in ((40, 2.0), (20, 2.2), (16, 1.35)):
+        space = FockSpace(dim)
+        spec = spectrum_at(KerrCatParams.from_alpha2(alpha2), 0.0, space)
+        pi = parity_operator(space)
+        for idx, sign in zip(spec.comp_indices, (1, -1)):
+            v = spec.states[:, idx]
+            assert np.vdot(v, pi @ v).real == pytest.approx(sign, abs=1e-9)
+        assert np.max(np.abs(spec.psi0[1::2])) < 1e-12
+        assert np.max(np.abs(spec.psi1[0::2])) < 1e-12
+
+
+def _random_parity_operators(dim, count, complex_, rng):
+    """Random Hermitian matrices with no even<->odd Fock entries."""
+    A = rng.normal(size=(count, dim, dim))
+    if complex_:
+        A = A + 1j * rng.normal(size=(count, dim, dim))
+    H = 0.5 * (A + np.swapaxes(A, -1, -2).conj())
+    H[:, 0::2, 1::2] = 0.0
+    H[:, 1::2, 0::2] = 0.0
+    return H
+
+
+@settings(max_examples=40, deadline=None)
+@given(dim=st.integers(2, 12), batch=st.integers(1, 4), n_ops=st.integers(0, 1),
+       complex_=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_stacked_kernel_rows_equal_single_calls(dim, batch, n_ops, complex_, seed):
+    # at most one operator, so each row's H = drift + v * op is the same
+    # floating-point matrix in the stacked and the single call
+    rng = np.random.default_rng(seed)
+    drift, *ops = _random_parity_operators(dim, 1 + n_ops, complex_, rng)
+    values = rng.uniform(-1.0, 1.0, size=(batch, n_ops))
+    energies, states = _parity_spectra(drift, ops, values)
+    pi = parity_operator(FockSpace(dim))
+    m = (dim + 1) // 2
+    for b in range(batch):
+        H = drift + sum(v * op for v, op in zip(values[b], ops))
+        spec = diagonalize_labeled(H, pi)
+        order = np.argsort(energies[b], kind="stable")
+        assert np.allclose(spec.energies, energies[b][order], rtol=0, atol=1e-12)
+        assert np.allclose(spec.states, states[b][:, order], rtol=0, atol=1e-12)
+        assert spec.comp_indices == (int(np.flatnonzero(order == m - 1)[0]),
+                                     int(np.flatnonzero(order == dim - 1)[0]))
+        # an exact eigensystem: orthonormal, eigen-equation, pure parity
+        V = spec.states
+        assert np.allclose(V.conj().T @ V, np.eye(dim), atol=1e-12)
+        assert np.allclose(H @ V, V * spec.energies, atol=1e-10)
+        assert np.all(V[1::2][:, spec.parities > 0] == 0)
+        assert np.all(V[0::2][:, spec.parities < 0] == 0)
+        # gauge: the largest-magnitude Fock coefficient is real and positive
+        pivots = V[np.argmax(np.abs(V), axis=0), np.arange(dim)]
+        assert np.all(pivots.real > 0) and np.all(np.abs(pivots.imag) < 1e-14)
 
 
 def test_gap_derivative_ill_conditioned_guard():
