@@ -167,6 +167,18 @@ def make_builder(scheme: str, alpha2: float, T: float, cfg: dict,
     raise ConfigError(f"unknown scheme {scheme!r}")
 
 
+def _robust_line_cache(alpha2: float, space: FockSpace) -> RobustLineCache:
+    return RobustLineCache(0.95, max(alpha2, 1.0), space, n_points=40)
+
+
+def _build_schedule(scheme: str, build, bounds: dict, pulse_params: dict):
+    """The schedule for ``pulse_params``, which must name exactly the builder's parameters."""
+    if set(pulse_params) != set(bounds):
+        raise ConfigError(f"scheme {scheme} needs pulse_params with the keys "
+                          f"{sorted(bounds)}, got {sorted(pulse_params)}")
+    return build(**pulse_params)
+
+
 def _sweep_point(scheme: str, alpha2: float, T: float, cfg: dict,
                  space: FockSpace, rl_cache) -> dict:
     record = {"scheme": scheme, "alpha2": alpha2, "T": T, "feasible": True}
@@ -253,8 +265,7 @@ def cmd_gate_sweep(cfg: dict, out: Path) -> int:
     if scheme == "Z_ROBUSTLINE":
         for a2 in cfg["alpha2_list"]:
             try:
-                rl_caches[a2] = RobustLineCache(0.95, max(float(a2), 1.0), space,
-                                                n_points=40)
+                rl_caches[a2] = _robust_line_cache(float(a2), space)
             except NoRobustPointError:
                 rl_caches[a2] = None
 
@@ -285,11 +296,9 @@ def cmd_noise(cfg: dict, out: Path) -> int:
     alpha2 = float(cfg.get("alpha2", 2.0))
     T = float(cfg.get("T", 30.0))
     space = FockSpace(cfg["fock_dim"])
-    rl_cache = None
-    if scheme == "Z_ROBUSTLINE":
-        rl_cache = RobustLineCache(0.95, max(alpha2, 1.0), space, n_points=40)
-    build, _ = make_builder(scheme, alpha2, T, cfg, space, rl_cache)
-    sched = build(**cfg.get("pulse_params", {}))
+    rl_cache = _robust_line_cache(alpha2, space) if scheme == "Z_ROBUSTLINE" else None
+    build, bounds = make_builder(scheme, alpha2, T, cfg, space, rl_cache)
+    sched = _build_schedule(scheme, build, bounds, cfg.get("pulse_params") or {})
     omegas = default_frequency_grid(T)
     deriv = _deriv_trace(sched, space)
     ff = filter_weight(sched, omegas, space, deriv_trace=deriv)
@@ -335,14 +344,17 @@ def cmd_convergence(cfg: dict, out: Path) -> int:
     scheme = cfg.get("scheme", "X")
     alpha2 = float(cfg.get("alpha2", 2.0))
     T = float(cfg.get("T", 30.0))
+    pulse_params = cfg.get("pulse_params") or {}
+    if not pulse_params and scheme == "X":
+        pulse_params = {"eps_x0": seed_eps_x0(T, KerrCatParams.from_alpha2(alpha2))}
     drifts = {}
     for label, dim, steps in (("base", cfg["fock_dim"], cfg["n_steps"]),
                               ("dim2x", 2 * cfg["fock_dim"], cfg["n_steps"]),
                               ("dthalf", cfg["fock_dim"], 2 * cfg["n_steps"])):
         space = FockSpace(dim)
-        build, _ = make_builder(scheme, alpha2, T, cfg, space, None)
-        sched = build(**cfg.get("pulse_params", {})) if cfg.get("pulse_params") else \
-            build(seed_eps_x0(T, KerrCatParams.from_alpha2(alpha2)))
+        rl_cache = _robust_line_cache(alpha2, space) if scheme == "Z_ROBUSTLINE" else None
+        build, bounds = make_builder(scheme, alpha2, T, cfg, space, rl_cache)
+        sched = _build_schedule(scheme, build, bounds, pulse_params)
         grid = average_infidelity(sched, space, delta_max=cfg["delta_max"],
                                   n_nodes=cfg["n_nodes"], n_steps=steps)
         drifts[label] = grid.average

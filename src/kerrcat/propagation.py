@@ -12,6 +12,10 @@ non-zero values:
   of half the dimension, with the time-ordered products kept per block;
 * real -- every operator is real (no ``eps_y``): one real-symmetric stack;
 * general -- complex Hermitian eigh.
+
+On any path, a schedule whose steps mirror in time, H_{n-1-k} = S H_k^* S
+with S the identity or photon-number parity, diagonalizes only its first
+half of the steps (the gate envelopes are symmetric about T/2).
 """
 
 from __future__ import annotations
@@ -66,7 +70,43 @@ def _step_exponentials(H: np.ndarray, dt: float) -> np.ndarray:
         return out
     scaled = V * np.exp(-1j * w * dt)[..., None, :]
     np.conj(V, out=V)
-    return scaled @ np.swapaxes(V, -1, -2)
+    # the products overwrite ``scaled`` a few matrices at a time, so no third
+    # full-size complex stack is live; each matrix's product is unchanged
+    flat = scaled.reshape(-1, *V.shape[-2:])
+    flat_vt = np.swapaxes(V, -1, -2).reshape(flat.shape)
+    for i in range(0, len(flat), 64):
+        np.matmul(flat[i:i + 64], flat_vt[i:i + 64], out=flat[i:i + 64])
+    return scaled
+
+
+def _mirror_signs(drift, ops, values):
+    """Diagonal of S in {I, Pi} with S H_k^* S = H_{n-1-k} for every step k, or None.
+
+    The operators must map to +-themselves exactly under O -> S O^* S, and the
+    value table must mirror with those signs to within rounding; then
+    U_{n-1-k} = S U_k^T S.
+    """
+    if values.shape[1] < 2:
+        return None
+    d = drift.shape[0]
+    tol = 64 * np.finfo(float).eps * np.max(np.abs(values), axis=(0, 1))
+    for s in (np.ones(d), (-1.0) ** np.arange(d)):
+        ss = np.outer(s, s)
+        if not np.array_equal(ss * drift.conj(), drift):
+            continue
+        signs = []
+        for op in ops:
+            mirrored = ss * op.conj()
+            if np.array_equal(mirrored, op):
+                signs.append(1.0)
+            elif np.array_equal(mirrored, -op):
+                signs.append(-1.0)
+            else:
+                break
+        else:
+            if np.all(np.abs(values[:, ::-1] - np.array(signs) * values) <= tol):
+                return s
+    return None
 
 
 def _propagate_steps(drift, ops, values, dt) -> np.ndarray:
@@ -74,6 +114,11 @@ def _propagate_steps(drift, ops, values, dt) -> np.ndarray:
 
     ``H_k = drift + sum_j values[b, k, j] ops[j]`` for ``values`` of shape
     (batch, n_steps, len(ops)); returns the (batch, d, d) propagators.
+
+    A mirror-symmetric schedule (see :func:`_mirror_signs`) is folded: only
+    the first ceil(n/2) steps are exponentiated, and with A the product of
+    the first floor(n/2) of them, U = S A^T S A, with the middle step
+    between the two factors when n is odd.
     """
     batch, n_steps, _ = values.shape
     ops, values = present_channels(ops, values)
@@ -83,12 +128,20 @@ def _propagate_steps(drift, ops, values, dt) -> np.ndarray:
         blocks = parity_blocks(d)
     else:
         blocks = (np.arange(d),)
+    s = _mirror_signs(drift, ops, values)
+    if s is not None:
+        values = values[:, :(n_steps + 1) // 2]
     U = np.zeros((batch, d, d), dtype=complex)
     for block in blocks:
         steps = _step_exponentials(block_hamiltonians(drift, ops, values, block, real), dt)
         prod = steps[:, 0]
-        for k in range(1, n_steps):
+        for k in range(1, n_steps if s is None else n_steps // 2):
             prod = steps[:, k] @ prod
+        if s is not None:
+            mirror = np.outer(s[block], s[block]) * np.swapaxes(prod, -1, -2)
+            if n_steps % 2:
+                prod = steps[:, -1] @ prod
+            prod = mirror @ prod
         U[:, block[:, None], block[None, :]] = prod
     return U
 

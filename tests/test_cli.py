@@ -105,6 +105,37 @@ def test_convergence_command(tmp_path):
     assert report["max_drift"] >= 0.0
 
 
+@pytest.mark.parametrize("scheme, extra", [
+    ("KERR_GATE", {}),
+    ("Z_ROBUSTLINE", {"T": 40.0, "pulse_params": {"tau": 5.0, "eps2_ramp0": -0.5}}),
+    ("Z_STRAIGHT", {"pulse_params": {"delta_max": 0.4, "eps2_ramp0": -0.5}}),
+    ("Y_DRAG", {"pulse_params": {"eps_y0": 0.3, "eps2_ramp0": -0.5}}),
+])
+def test_convergence_other_schemes(tmp_path, scheme, extra):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"scheme": scheme, "alpha2": 2.0, "T": 15.0, "fock_dim": 14,
+                               "n_steps": 150, "n_nodes": 3, **extra}))
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg), "--out", str(out), "convergence"]) == 0
+    report = json.loads((out / "convergence_report.json").read_text())
+    assert all(0.0 <= v < 1.0 for v in report["values"].values())
+
+
+@pytest.mark.parametrize("command", ["convergence", "noise"])
+@pytest.mark.parametrize("scheme, pulse_params, key", [
+    ("Y_DRAG", None, "eps2_ramp0"),
+    ("Z_STRAIGHT", {"delta_max": 0.4}, "eps2_ramp0"),
+    ("X", {"eps_x": 0.1}, "eps_x0"),
+])
+def test_pulse_params_checked(tmp_path, capsys, command, scheme, pulse_params, key):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"scheme": scheme, "fock_dim": 14, "n_steps": 150,
+                               "n_nodes": 3, "pulse_params": pulse_params}))
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "out"), command]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and "pulse_params" in err and key in err
+
+
 def test_gate_sweep_small(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({

@@ -1,3 +1,6 @@
+from contextlib import contextmanager
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,11 +8,16 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from kerrcat.fidelity import computational_pair, infidelity
-from kerrcat.fock import FockSpace, HamiltonianAssembly, KerrCatParams, parity_operator
-from kerrcat.propagation import (_propagate_steps, adiabaticity_diagnostic, propagate,
-                                 propagate_many, propagate_noise_trace)
+from kerrcat import propagation
+from kerrcat.fock import (FockSpace, HamiltonianAssembly, KerrCatParams, block_hamiltonians,
+                          is_real, keeps_parity, parity_blocks, parity_operator,
+                          present_channels)
+from kerrcat.noise import NoiseModel, sample_noise
+from kerrcat.propagation import (_propagate_steps, _step_exponentials,
+                                 adiabaticity_diagnostic, propagate, propagate_many,
+                                 propagate_noise_trace)
 from kerrcat.pulses import (PulseSchedule, idle_schedule, rot_z, scheme_kerr_gate,
-                            scheme_x, scheme_z_straight)
+                            scheme_x, scheme_y_drag, scheme_z_straight)
 from kerrcat.spectral import diagonalize_labeled
 
 SPACE = FockSpace(30)
@@ -21,16 +29,72 @@ STRUCTURE_CLASSES = {
     "general": ("eps_x", "eps_y", "eps2_mod"),
 }
 
+#: mirror-symmetric channel sets with the sign of each channel's mirror
+#: values[:, n-1-k] = sign * values[:, k]; S = I for all but "general_parity",
+#: whose eps_y is symmetric and eps_x antisymmetric (S = Pi, as for DRAG)
+MIRROR_CLASSES = {
+    "parity": (("delta", 1.0), ("eps2_mod", 1.0)),
+    "real": (("delta", 1.0), ("eps_x", 1.0)),
+    "general": (("eps_x", 1.0), ("eps_y", -1.0), ("eps2_mod", 1.0)),
+    "general_parity": (("eps_y", 1.0), ("eps_x", -1.0), ("eps2_mod", 1.0), ("delta", 1.0)),
+}
+
+
+@contextmanager
+def recorded_eigh():
+    """Record (dtype, shape) of every ``np.linalg.eigh`` input inside the block."""
+    seen = []
+    eigh = np.linalg.eigh
+
+    def recording_eigh(H):
+        seen.append((H.dtype.type, H.shape))
+        return eigh(H)
+
+    with mock.patch.object(np.linalg, "eigh", recording_eigh):
+        yield seen
+
+
+def _expm_product(drift, ops, values, dt):
+    """Reference: the per-step ``scipy.linalg.expm`` product of each row."""
+    out = []
+    for row in values:
+        ref = np.eye(drift.shape[0], dtype=complex)
+        for step in row:
+            ref = expm(-1j * (drift + sum(v * op for v, op in zip(step, ops))) * dt) @ ref
+        out.append(ref)
+    return np.array(out)
+
+
+def _sequential_product(drift, ops, values, dt):
+    """Reference: every step exponentiated and multiplied in time order, unfolded."""
+    ops, values = present_channels(ops, values)
+    d = drift.shape[0]
+    real = all(is_real(op) for op in (drift, *ops))
+    parity = real and all(keeps_parity(op) for op in (drift, *ops))
+    U = np.zeros((len(values), d, d), dtype=complex)
+    for block in parity_blocks(d) if parity else (np.arange(d),):
+        steps = _step_exponentials(block_hamiltonians(drift, ops, values, block, real), dt)
+        prod = steps[:, 0]
+        for k in range(1, values.shape[1]):
+            prod = steps[:, k] @ prod
+        U[:, block[:, None], block[None, :]] = prod
+    return U
+
 
 def test_drift_only_diagonal_phases():
-    # pure Kerr drift: U|n> = exp(+i K/2 n(n-1) T)|n>
+    # pure Kerr drift: U|n> = exp(+i K/2 n(n-1) T)|n>; no channel is present,
+    # so the schedule is trivially mirror-symmetric and folds
     space = FockSpace(6)
     T = 2.3
     s = idle_schedule(T, KerrCatParams(), n_samples=11)
-    res = propagate(s, space, n_steps=50)
     n = np.arange(6)
     expected = np.diag(np.exp(1j * 0.5 * n * (n - 1) * T))
-    assert np.linalg.norm(res.unitary - expected) < 1e-10
+    for n_steps in (50, 51):
+        with recorded_eigh() as seen:
+            res = propagate(s, space, n_steps=n_steps)
+        assert [shape for _, shape in seen] == [(1, 25 + n_steps % 2, 3, 3)] * 2
+        assert np.linalg.norm(res.unitary - expected) < 1e-10
+        assert res.step_count == n_steps
 
 
 def test_unitarity_defect():
@@ -165,12 +229,9 @@ def _random_channels(kind, dim, n_steps, batch, seed):
 def test_kernel_matches_expm_product(kind, dim, n_steps, batch, seed, dt):
     asm, ops, values = _random_channels(kind, dim, n_steps, batch, seed)
     U = _propagate_steps(asm.drift, ops, values, dt)
+    ref = _expm_product(asm.drift, ops, values, dt)
     for b in range(batch):
-        ref = np.eye(dim, dtype=complex)
-        for k in range(n_steps):
-            H = asm.drift + sum(v * op for v, op in zip(values[b, k], ops))
-            ref = expm(-1j * H * dt) @ ref
-        assert np.linalg.norm(U[b] - ref, ord=2) < 1e-12
+        assert np.linalg.norm(U[b] - ref[b], ord=2) < 1e-12
         assert np.linalg.norm(U[b].conj().T @ U[b] - np.eye(dim), ord=2) < 1e-12
 
 
@@ -182,20 +243,80 @@ def test_kernel_matches_expm_product(kind, dim, n_steps, batch, seed, dt):
     ("general", 1, [(np.float64, 7)]),
     ("general", 0, [(np.complex128, 7)]),
 ])
-def test_kernel_path_follows_present_operators(monkeypatch, kind, zero, eigh_calls):
+def test_kernel_path_follows_present_operators(kind, zero, eigh_calls):
     asm, ops, values = _random_channels(kind, 7, 5, 2, seed=3)
     if zero is not None:
         values[:, :, zero] = 0.0
-    seen = []
-    eigh = np.linalg.eigh
+    with recorded_eigh() as seen:
+        _propagate_steps(asm.drift, ops, values, 0.1)
+    assert [(dtype, shape[-1]) for dtype, shape in seen] == eigh_calls
 
-    def recording_eigh(H):
-        seen.append((H.dtype.type, H.shape[-1]))
-        return eigh(H)
 
-    monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
-    _propagate_steps(asm.drift, ops, values, 0.1)
-    assert seen == eigh_calls
+def _mirrored_channels(kind, dim, n_steps, batch, seed):
+    """Assembly, operators and a mirror-symmetric value table of one mirror class."""
+    rng = np.random.default_rng(seed)
+    params = KerrCatParams.from_alpha2(rng.uniform(0.0, 3.0), delta=rng.uniform(-1.0, 1.0))
+    asm = HamiltonianAssembly.build(params, FockSpace(dim))
+    names, signs = zip(*MIRROR_CLASSES[kind])
+    signs = np.array(signs)
+    half = rng.uniform(-1.0, 1.0, size=(batch, (n_steps + 1) // 2, len(names)))
+    if n_steps % 2:  # the middle step is its own mirror
+        half[:, -1] *= signs > 0
+    values = np.concatenate([half, signs * half[:, :n_steps // 2][:, ::-1]], axis=1)
+    return asm, [asm.channels[name] for name in names], values
+
+
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(sorted(MIRROR_CLASSES)), dim=st.integers(2, 12),
+       n_steps=st.one_of(st.sampled_from([1, 2, 3]), st.integers(1, 40)),
+       batch=st.integers(1, 3), seed=st.integers(0, 2**32 - 1), dt=st.floats(0.01, 0.2))
+def test_mirrored_schedule_folds(kind, dim, n_steps, batch, seed, dt):
+    asm, ops, values = _mirrored_channels(kind, dim, n_steps, batch, seed)
+    with recorded_eigh() as seen:
+        U = _propagate_steps(asm.drift, ops, values, dt)
+    assert seen and all(shape[:2] == (batch, (n_steps + 1) // 2) for _, shape in seen)
+    ref = _expm_product(asm.drift, ops, values, dt)
+    for b in range(batch):
+        assert np.linalg.norm(U[b] - ref[b], ord=2) < 1e-12
+        assert np.linalg.norm(U[b].conj().T @ U[b] - np.eye(dim), ord=2) < 1e-12
+
+
+@pytest.mark.parametrize("kind", sorted(MIRROR_CLASSES))
+def test_broken_mirror_takes_every_step(kind):
+    # one mirrored entry off by 1e-12 relative is far above the rounding
+    # tolerance of the mirror test, so the kernel must not fold
+    asm, ops, values = _mirrored_channels(kind, 8, 9, 2, seed=5)
+    values[1, 7, -1] *= 1.0 + 1e-12
+    with recorded_eigh() as seen:
+        U = _propagate_steps(asm.drift, ops, values, 0.1)
+    assert seen and all(shape[:2] == (2, 9) for _, shape in seen)
+    ref = _expm_product(asm.drift, ops, values, 0.1)
+    assert np.max(np.linalg.norm(U - ref, ord=2, axis=(1, 2))) < 1e-12
+
+
+def test_unmirrored_schedules_keep_sequential_product():
+    # exact DRAG's eps_x is antisymmetric only to ~1e-8 and an OU trace is
+    # random: both take every step, with the sequential product unchanged
+    p = KerrCatParams.from_alpha2(1.0)
+    space = FockSpace(14)
+    drag = scheme_y_drag(10.0, 0.3, -0.3, p, space, drag_mode="exact", n_samples=101)
+    z = scheme_z_straight(20.0, 0.4, -0.5, p, n_samples=201)
+    trace = sample_noise(NoiseModel("ornstein-uhlenbeck", {"sigma": 1e-3, "tau_c": 50.0},
+                                    seed=4), z.duration, z.duration / 60)[0]
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return kernel(*args)
+
+    kernel = propagation._propagate_steps
+    with mock.patch.object(propagation, "_propagate_steps", spy), recorded_eigh() as seen:
+        results = [propagate(drag, space, delta_offset=1e-3, n_steps=60),
+                   propagate_noise_trace(z, space, trace, n_steps=60)]
+    assert [shape[1] for _, shape in seen] == [60, 60, 60]  # one complex, two parity blocks
+    for res, args in zip(results, calls):
+        assert np.array_equal(res.unitary, _sequential_product(*args)[0])
+        assert res.step_count == 60
 
 
 def _random_schedule(kind, seed, n_samples=9):
