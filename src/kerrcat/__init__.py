@@ -17,9 +17,8 @@ from .pulses import (AdiabaticityLossError, InvalidRampError, PulseSchedule,
                      scheme_x, scheme_xx_envelope, scheme_y_drag,
                      scheme_z_robustline, scheme_z_straight, seed_eps_x0,
                      truncated_gaussian, truncated_gaussian_deriv)
-from .propagation import (PropagationResult, StiffScheduleError,
-                          adiabaticity_diagnostic, propagate, propagate_many,
-                          propagate_noise_trace)
+from .propagation import (PropagationResult, adiabaticity_diagnostic, propagate,
+                          propagate_many, propagate_noise_trace)
 from .fidelity import (InfidelityGrid, average_infidelity, computational_pair,
                        infidelity, simpson_nodes)
 from .optimize import (OptimizationRecord, ParamSpace, calibrate_z_straight,

@@ -32,9 +32,8 @@ from .fock import FockSpace, KerrCatParams
 from .noise import (NoiseModel, _deriv_trace, default_frequency_grid, filter_weight,
                     monte_carlo_infidelity, spectral_average_infidelity)
 from .optimize import ParamSpace, grid_optimize
-from .pulses import (SchemeInfeasibleError, envelope_integral, scheme_kerr_gate,
-                     scheme_x, scheme_xx_envelope, scheme_y_drag,
-                     scheme_z_robustline, scheme_z_straight, seed_eps_x0)
+from .pulses import (SchemeInfeasibleError, scheme_kerr_gate, scheme_x, scheme_xx_envelope,
+                     scheme_y_drag, scheme_z_robustline, scheme_z_straight, seed_eps_x0)
 from .spectral import (IllConditionedError, NoRobustPointError, RobustLineCache,
                        gap_landscape, robust_line)
 
@@ -131,8 +130,7 @@ def make_builder(scheme: str, alpha2: float, T: float, cfg: dict,
     if scheme == "X":
         def build(eps_x0):
             return scheme_x(T, eps_x0, params)
-        seed = seed_eps_x0(T, params) if alpha2 > 0 else \
-            (np.pi / 2) / envelope_integral(T)
+        seed = seed_eps_x0(T, params)
         bounds = {"eps_x0": (0.5 * seed, 1.5 * seed)}
         return build, bounds
     if scheme == "Y_DRAG":

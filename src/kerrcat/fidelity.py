@@ -95,12 +95,11 @@ def average_infidelity(
     delta_max: float = DEFAULT_DELTA_MAX,
     n_nodes: int = DEFAULT_DELTA_NODES,
     n_steps: int = 2000,
-    refine: bool = False,
 ) -> InfidelityGrid:
     """Infidelity across a symmetric static-detuning window, one propagation."""
     nodes, weights = simpson_nodes(delta_max, n_nodes)
     psi0, psi1 = computational_pair(schedule.base, space)
-    results = propagate_many(schedule, space, nodes, n_steps=n_steps, refine=refine)
+    results = propagate_many(schedule, space, nodes, n_steps=n_steps)
     infs = np.array([
         infidelity(r.unitary, schedule.target, psi0, psi1, schedule.frame_rotation)
         for r in results

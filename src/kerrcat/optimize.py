@@ -17,7 +17,8 @@ import numpy as np
 
 from .fock import FockSpace
 from .fidelity import average_infidelity
-from .pulses import InvalidRampError, PulseSchedule, SchemeInfeasibleError
+from .pulses import (AdiabaticityLossError, InvalidRampError, PulseSchedule,
+                     SchemeInfeasibleError)
 
 INFEASIBLE_SCORE = 1.0
 
@@ -185,13 +186,11 @@ def grid_optimize(
     delta_max: float = 5e-3,
     n_nodes: int = 11,
     n_steps: int = 500,
-    objective: str = "average",
 ) -> OptimizationRecord:
     """Minimize detuning-averaged infidelity over a parameter box.
 
     ``builder`` maps keyword arguments named after ``space.names`` to a
-    :class:`PulseSchedule`. ``objective`` is "average" or "worst" over the
-    detuning nodes. Infeasible builder arguments score 1.
+    :class:`PulseSchedule`. Infeasible builder arguments score 1.
     """
 
     def evaluate(**kwargs):
@@ -199,10 +198,9 @@ def grid_optimize(
             sched = builder(**kwargs)
             grid = average_infidelity(sched, fock_space, delta_max=delta_max,
                                       n_nodes=n_nodes, n_steps=n_steps)
-        except (SchemeInfeasibleError, InvalidRampError, ValueError):
+        except (SchemeInfeasibleError, InvalidRampError, AdiabaticityLossError, ValueError):
             return INFEASIBLE_SCORE, INFEASIBLE_SCORE
-        score = grid.average if objective == "average" else grid.worst
-        return score, grid.worst
+        return grid.average, grid.worst
 
     return grid_search(evaluate, space, coarse_n=coarse_n,
                        refine_rounds=refine_rounds, shrink=shrink)

@@ -30,10 +30,6 @@ from .pulses import PulseSchedule
 from .spectral import _comp_columns, _parity_spectra
 
 
-class StiffScheduleError(RuntimeError):
-    """Step refinement hit the minimum step size without converging."""
-
-
 @dataclass(frozen=True)
 class PropagationResult:
     unitary: np.ndarray
@@ -169,36 +165,13 @@ def propagate_many(
     space: FockSpace,
     delta_offsets,
     n_steps: int = 2000,
-    refine: bool = False,
-    refine_tol: float = 1e-10,
-    max_doublings: int = 6,
 ) -> list[PropagationResult]:
-    """Propagate one schedule for several static detuning offsets at once.
-
-    With ``refine`` set, the step count is doubled until the propagators
-    for all offsets agree to ``refine_tol`` in spectral norm.
-    """
+    """Propagate one schedule for several static detuning offsets at once."""
     delta_offsets = np.atleast_1d(np.asarray(delta_offsets, dtype=float))
     assembly = HamiltonianAssembly.build(schedule.base, space)
-
-    def run(n):
-        rows = np.broadcast_to(delta_offsets[:, None], (len(delta_offsets), n))
-        return _propagate_schedule(schedule, assembly, n, rows)
-
-    U = run(n_steps)
-    steps_used = n_steps
-    if refine:
-        for _ in range(max_doublings):
-            U2 = run(2 * steps_used)
-            err = max(np.linalg.norm(U2[f] - U[f], ord=2) for f in range(len(delta_offsets)))
-            U, steps_used = U2, 2 * steps_used
-            if err < refine_tol:
-                break
-        else:
-            raise StiffScheduleError(
-                f"propagator not converged to {refine_tol} after {steps_used} steps"
-            )
-    return [_result(Uf, steps_used) for Uf in U]
+    rows = np.broadcast_to(delta_offsets[:, None], (len(delta_offsets), n_steps))
+    U = _propagate_schedule(schedule, assembly, n_steps, rows)
+    return [_result(Uf, n_steps) for Uf in U]
 
 
 def propagate(
@@ -206,12 +179,9 @@ def propagate(
     space: FockSpace,
     delta_offset: float = 0.0,
     n_steps: int = 2000,
-    refine: bool = False,
-    refine_tol: float = 1e-10,
 ) -> PropagationResult:
     """Single-offset wrapper around :func:`propagate_many`."""
-    return propagate_many(schedule, space, [delta_offset], n_steps=n_steps,
-                          refine=refine, refine_tol=refine_tol)[0]
+    return propagate_many(schedule, space, [delta_offset], n_steps=n_steps)[0]
 
 
 def propagate_noise_trace(

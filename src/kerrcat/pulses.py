@@ -36,7 +36,7 @@ class InvalidRampError(ValueError):
 
 
 class AdiabaticityLossError(RuntimeError):
-    """Instantaneous-eigenstate tracking lost its target state."""
+    """The instantaneous computational subspace moved too far between samples."""
 
 
 # --- envelopes -------------------------------------------------------------
@@ -235,56 +235,49 @@ def _drag_approx(times, eps_y_dot, alpha2_t, params, space):
     return (h12_t**2 / e2_t - h03_t**2 / e3_t) / (4.0 * hy_t * hx_t) * eps_y_dot
 
 
-def _drag_exact(times, eps2_mod, eps2_dot, eps_y, eps_y_dot, params, space,
-                overlap_min=0.9, split_floor=1e-9):
-    """Exact transition-cancelling quadrature from tracked eigenstates.
+#: smallest accepted squared overlap between consecutive computational subspaces
+MIN_SUBSPACE_OVERLAP = 0.81
 
-    Tracks the two computational eigenstates of H_0 + eps2_mod/2 H_2 +
-    eps_y/2 H_y by overlap continuity from |+-i> at t = 0 and solves for
-    the eps_x(t) that cancels the 0 <-> 1 transition amplitude.
+
+def _drag_exact(times, eps2_mod, eps2_dot, eps_y, eps_y_dot, params, space):
+    """Exact transition-cancelling quadrature from the instantaneous eigenpairs.
+
+    The computational pair |0>, |1> of H_0 + eps2_mod H_2 + eps_y H_y is the
+    top two eigenvectors (the cat manifold tops the spectrum), and
+    eps_x = Re(i <1|dH/dt|0> / ((E_0 - E_1) <1|H_x|0>)) cancels the 0 <-> 1
+    transition amplitude whatever the phases and order of the pair. The
+    envelopes are symmetric about T/2 and their rates antisymmetric, so only
+    the first ceil(n/2) samples are diagonalized and eps_x(T - t) = -eps_x(t).
+    Raises AdiabaticityLossError if the smallest squared singular value of the
+    pair's overlap with the previous sample's pair (span{C_+, C_-} at t = 0)
+    falls below MIN_SUBSPACE_OVERLAP.
     """
     assembly = HamiltonianAssembly.build(params, space)
+    h2, hy, hx = (assembly.channels[name] for name in ("eps2_mod", "eps_y", "eps_x"))
+    m = (len(times) + 1) // 2
+    H = assembly.drift + eps2_mod[:m, None, None] * h2 + eps_y[:m, None, None] * hy
+    energies, states = np.linalg.eigh(H)
+    pair = states[..., -2:]
+
     cats = cat_vectors(params.alpha, space)
-    psi0 = (cats.plus_cat + 1j * cats.minus_cat) / np.sqrt(2.0)
-    psi1 = (cats.plus_cat - 1j * cats.minus_cat) / np.sqrt(2.0)
-    h2 = assembly.channels["eps2_mod"]
-    hy = assembly.channels["eps_y"]
-    hx = assembly.channels["eps_x"]
+    spans = np.concatenate([np.column_stack([cats.plus_cat, cats.minus_cat])[None], pair])
+    overlap = np.linalg.svd(spans[:-1].conj().transpose(0, 2, 1) @ spans[1:], compute_uv=False)
+    lost = np.flatnonzero(overlap[:, -1] ** 2 < MIN_SUBSPACE_OVERLAP)
+    if lost.size:
+        k = lost[0]
+        raise AdiabaticityLossError(f"computational subspace overlap {overlap[k, -1] ** 2:.3f} "
+                                    f"< {MIN_SUBSPACE_OVERLAP} at t={times[k]:.3f}")
 
-    eps_x = np.zeros_like(times)
-    tracked = []
-    for k in range(len(times)):
-        H = assembly.drift + eps2_mod[k] * h2 + eps_y[k] * hy
-        energies, states = np.linalg.eigh(H)
-        new = []
-        for ref in (psi0, psi1):
-            # project onto the (near-degenerate) eigenspace the reference
-            # lives in; at t=0 the computational pair is exactly degenerate
-            # and no single eigenvector overlaps the tracked state
-            amps = states.conj().T @ ref
-            j = int(np.argmax(np.abs(amps)))
-            group = np.abs(energies - energies[j]) < 1e-6
-            weight = float(np.sum(np.abs(amps[group]) ** 2))
-            if weight < overlap_min**2:
-                raise AdiabaticityLossError(
-                    f"eigenstate tracking weight {weight:.3f} < {overlap_min**2} "
-                    f"at t={times[k]:.3f}"
-                )
-            vec = states[:, group] @ amps[group]
-            vec = vec / np.linalg.norm(vec)
-            e_val = float(np.sum(np.abs(amps[group]) ** 2 * energies[group]) / weight)
-            new.append((vec, e_val))
-        (psi0, e0), (psi1, e1) = new
-        tracked.append((psi0, psi1, e0, e1))
-
-        split = e0 - e1
-        mx = np.vdot(psi1, hx @ psi0)
-        if abs(split) > split_floor and abs(mx) > 1e-12:
-            num = eps2_dot[k] * np.vdot(psi1, h2 @ psi0) + eps_y_dot[k] * np.vdot(psi1, hy @ psi0)
-            val = 1j * num / (split * mx)
-            eps_x[k] = val.real
-    eps_x[0] = eps_x[-1] = 0.0
-    return eps_x, tracked
+    m2, my, mx = np.einsum("ki,oij,kj->ok", pair[..., 0].conj(), np.stack([h2, hy, hx]),
+                           pair[..., 1])
+    num = eps2_dot[:m] * m2 + eps_y_dot[:m] * my
+    split = energies[:, -1] - energies[:, -2]
+    # t = 0 (exactly degenerate pair, zero rates) and any middle sample stay zero
+    k = np.arange(1, len(times) // 2)
+    eps_x = np.zeros(len(times))
+    eps_x[k] = -(num[k] / mx[k]).imag / split[k]
+    eps_x[len(times) - 1 - k] = -eps_x[k]
+    return eps_x
 
 
 def scheme_y_drag(
@@ -319,8 +312,8 @@ def scheme_y_drag(
     elif drag_mode == "approx":
         eps_x = _drag_approx(times, eps_y0 * fdot, alpha2_t, params, space)
     elif drag_mode == "exact":
-        eps_x, _ = _drag_exact(times, eps2_mod, eps2_ramp0 * fdot, eps_y, eps_y0 * fdot,
-                               params, space)
+        eps_x = _drag_exact(times, eps2_mod, eps2_ramp0 * fdot, eps_y, eps_y0 * fdot,
+                            params, space)
     else:
         raise ValueError(f"unknown drag_mode {drag_mode!r}")
 

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from kerrcat.fock import FockSpace, KerrCatParams
 from kerrcat.optimize import (INFEASIBLE_SCORE, OptimizationRecord, ParamSpace,
-                              grid_search)
+                              grid_optimize, grid_search)
+from kerrcat.pulses import AdiabaticityLossError, scheme_y_drag
 
 
 def quad_objective(x, y):
@@ -90,3 +92,22 @@ def test_record_json_roundtrip(tmp_path):
     assert back.best_params == rec.best_params
     assert back.best_score == rec.best_score
     assert back.history == rec.history
+
+
+def test_grid_optimize_scores_lost_subspace_as_infeasible():
+    # the eps_y0 = 10 corner loses the computational subspace on 5 samples
+    p = KerrCatParams.from_alpha2(2.0)
+    space = FockSpace(20)
+
+    def build(eps_y0, eps2_ramp0):
+        return scheme_y_drag(20.0, eps_y0, eps2_ramp0, p, space, drag_mode="exact",
+                             n_samples=5)
+
+    with pytest.raises(AdiabaticityLossError):
+        build(10.0, -0.5)
+    ps = ParamSpace.from_dict({"eps_y0": (1.0, 10.0), "eps2_ramp0": (-0.5, -0.5)})
+    rec = grid_optimize(build, ps, space, coarse_n=2, refine_rounds=0, n_nodes=3, n_steps=20)
+    scores = {h["eps_y0"]: h["score"] for h in rec.history}
+    assert scores[10.0] == INFEASIBLE_SCORE
+    assert scores[1.0] < INFEASIBLE_SCORE
+    assert rec.best_params["eps_y0"] == 1.0

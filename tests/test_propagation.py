@@ -1,4 +1,5 @@
 from contextlib import contextmanager
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -121,15 +122,6 @@ def test_step_doubling_convergence():
         res = propagate(s, SPACE, delta_offset=2e-3, n_steps=n_steps)
         vals.append(infidelity(res.unitary, s.target, psi0, psi1))
     assert abs(vals[1] - vals[0]) < 1e-9
-
-
-def test_refine_agrees_with_fixed_step():
-    p = KerrCatParams.from_alpha2(1.0)
-    s = scheme_x(10.0, 0.08, p, n_samples=201)
-    res_fixed = propagate(s, SPACE, n_steps=2000)
-    res_ref = propagate(s, SPACE, n_steps=250, refine=True, refine_tol=1e-8)
-    assert np.linalg.norm(res_fixed.unitary - res_ref.unitary, ord=2) < 1e-6
-    assert res_ref.step_count > 250
 
 
 def test_time_reversal_identity():
@@ -295,11 +287,14 @@ def test_broken_mirror_takes_every_step(kind):
 
 
 def test_unmirrored_schedules_keep_sequential_product():
-    # exact DRAG's eps_x is antisymmetric only to ~1e-8 and an OU trace is
-    # random: both take every step, with the sequential product unchanged
+    # approximate DRAG with a linear eps_x term is unmirrored on purpose and
+    # an OU trace is random: both take every step, with the sequential
+    # product unchanged
     p = KerrCatParams.from_alpha2(1.0)
     space = FockSpace(14)
-    drag = scheme_y_drag(10.0, 0.3, -0.3, p, space, drag_mode="exact", n_samples=101)
+    drag = scheme_y_drag(10.0, 0.3, -0.3, p, space, drag_mode="approx", n_samples=101)
+    drag = replace(drag, channels={**drag.channels,
+                                   "eps_x": drag.channels["eps_x"] + 1e-3 * drag.times})
     z = scheme_z_straight(20.0, 0.4, -0.5, p, n_samples=201)
     trace = sample_noise(NoiseModel("ornstein-uhlenbeck", {"sigma": 1e-3, "tau_c": 50.0},
                                     seed=4), z.duration, z.duration / 60)[0]
@@ -317,6 +312,30 @@ def test_unmirrored_schedules_keep_sequential_product():
     for res, args in zip(results, calls):
         assert np.array_equal(res.unitary, _sequential_product(*args)[0])
         assert res.step_count == 60
+
+
+def test_exact_drag_schedule_folds():
+    # exact DRAG's eps_x is antisymmetric by construction, so its static-offset
+    # propagation diagonalizes only the first ceil(n/2) steps
+    p = KerrCatParams.from_alpha2(1.0)
+    space = FockSpace(14)
+    drag = scheme_y_drag(10.0, 0.3, -0.3, p, space, drag_mode="exact", n_samples=101)
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return kernel(*args)
+
+    kernel = propagation._propagate_steps
+    for n_steps in (60, 61):
+        calls.clear()
+        with mock.patch.object(propagation, "_propagate_steps", spy), recorded_eigh() as seen:
+            res = propagate_many(drag, space, [-1e-3, 2e-3], n_steps=n_steps)
+        assert seen and all(shape[:2] == (2, (n_steps + 1) // 2) for _, shape in seen)
+        ref = _sequential_product(*calls[0])
+        for b, r in enumerate(res):
+            assert np.linalg.norm(r.unitary - ref[b], ord=2) < 1e-12
+            assert r.step_count == n_steps
 
 
 def _random_schedule(kind, seed, n_samples=9):

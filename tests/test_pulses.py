@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kerrcat.fock import FockSpace, HamiltonianAssembly, KerrCatParams
-from kerrcat.pulses import (InvalidRampError, SchemeInfeasibleError,
+from kerrcat.pulses import (AdiabaticityLossError, InvalidRampError, SchemeInfeasibleError,
                             _drag_exact, envelope_integral, gap_traces,
                             idle_schedule, predicted_angle, ramp_down, ramp_up,
                             rot_x, rot_y, rot_z, scheme_kerr_gate, scheme_x,
@@ -112,26 +112,40 @@ def test_approx_drag_vanishes_at_endpoints():
 
 
 def test_exact_drag_cancels_transition():
-    # the correction must null the real transition amplitude between the
-    # tracked computational eigenstates at every interior sample
+    # the correction must null the transition amplitude that a real eps_x can
+    # reach, between the top two eigenvectors of each sample's H, at every
+    # checked interior sample, whatever phases and order eigh gives the pair
+    for alpha2, T, n, ey0, r0, checked in [
+        (2.0, 25.0, 101, 0.6, -0.8, 100),
+        # the pair splits by < 1e-6 at the first samples; samples past T/2 are
+        # the mirror eps_x(T - t) = -eps_x(t), where the sampled H differs from
+        # its mirror in the last bits and 1 / (E0 - E1) near t = T amplifies
+        # that to the eigensolver's ~1e-7 conditioning (9.4e-8), so only the
+        # diagonalized half is held to the residual bound
+        (3.0, 20.0, 801, 1.6, -1.7, 401),
+    ]:
+        p = KerrCatParams.from_alpha2(alpha2)
+        times = np.linspace(0.0, T, n)
+        f = truncated_gaussian(times, T)
+        fdot = truncated_gaussian_deriv(times, T)
+        eps_x = _drag_exact(times, r0 * f, r0 * fdot, ey0 * f, ey0 * fdot, p, SPACE)
+        assert np.array_equal(eps_x[::-1], -eps_x)
+        asm = HamiltonianAssembly.build(p, SPACE)
+        hx, h2, hy = (asm.channels[k] for k in ("eps_x", "eps2_mod", "eps_y"))
+        for k in range(1, checked):
+            energies, states = np.linalg.eigh(asm.drift + r0 * f[k] * h2 + ey0 * f[k] * hy)
+            psi1, psi0 = states[:, -2], states[:, -1]
+            hdot = r0 * fdot[k] * h2 + ey0 * fdot[k] * hy
+            mx = np.vdot(psi1, hx @ psi0)
+            coupling = np.vdot(psi1, hdot @ psi0) / (energies[-1] - energies[-2])
+            resid = (1j * eps_x[k] * mx + coupling) / (1j * mx / abs(mx))
+            assert abs(resid.real) < 1e-8
+
+
+def test_exact_drag_raises_on_lost_subspace():
     p = KerrCatParams.from_alpha2(2.0)
-    T, n = 25.0, 101
-    times = np.linspace(0.0, T, n)
-    f = truncated_gaussian(times, T)
-    fdot = truncated_gaussian_deriv(times, T)
-    ey0, r0 = 0.6, -0.8
-    eps_x, tracked = _drag_exact(times, r0 * f, r0 * fdot, ey0 * f, ey0 * fdot,
-                                 p, SPACE)
-    asm = HamiltonianAssembly.build(p, SPACE)
-    hx, h2, hy = (asm.channels[k] for k in ("eps_x", "eps2_mod", "eps_y"))
-    for k in range(1, n - 1):
-        psi0, psi1, e0, e1 = tracked[k]
-        if abs(e0 - e1) < 1e-9:
-            continue
-        hdot = r0 * fdot[k] * h2 + ey0 * fdot[k] * hy
-        coupling = np.vdot(psi1, hdot @ psi0) / (e0 - e1)
-        resid = 1j * eps_x[k] * np.vdot(psi1, hx @ psi0) + coupling
-        assert abs(resid.real) < 1e-8
+    with pytest.raises(AdiabaticityLossError):
+        scheme_y_drag(20.0, 10.0, -0.5, p, SPACE, drag_mode="exact", n_samples=5)
 
 
 def test_scheme_z_robustline_trajectory(robust_cache_2):
