@@ -31,14 +31,14 @@ class CatBasis:
 
 
 def coherent_vector(alpha: float, space: FockSpace) -> np.ndarray:
-    """Fock expansion of |alpha>, exp(-a^2/2) alpha^n / sqrt(n!)."""
-    n = np.arange(space.dim)
-    log_coeff = -0.5 * alpha**2 + n * np.log(alpha) - 0.5 * gammaln(n + 1) if alpha > 0 else None
+    """Fock expansion of |alpha>, exp(-a^2/2) alpha^n / sqrt(n!), for real alpha of either sign."""
     if alpha == 0:
         vec = np.zeros(space.dim, dtype=complex)
         vec[0] = 1.0
         return vec
-    return np.exp(log_coeff).astype(complex)
+    n = np.arange(space.dim)
+    log_coeff = -0.5 * alpha**2 + n * np.log(abs(alpha)) - 0.5 * gammaln(n + 1)
+    return (np.sign(alpha) ** n * np.exp(log_coeff)).astype(complex)
 
 
 def cat_vectors(alpha: float, space: FockSpace) -> CatBasis:

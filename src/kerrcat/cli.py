@@ -29,11 +29,12 @@ from . import __version__
 from .cats import matrix_elements
 from .fidelity import average_infidelity
 from .fock import FockSpace, KerrCatParams
-from .noise import (NoiseModel, _deriv_trace, default_frequency_grid, filter_weight,
-                    monte_carlo_infidelity, spectral_average_infidelity)
+from .noise import (NoiseModel, default_frequency_grid, filter_weight, monte_carlo_infidelity,
+                    spectral_average_infidelity)
 from .optimize import ParamSpace, grid_optimize
-from .pulses import (SchemeInfeasibleError, scheme_kerr_gate, scheme_x, scheme_xx_envelope,
-                     scheme_y_drag, scheme_z_robustline, scheme_z_straight, seed_eps_x0)
+from .pulses import (SchemeInfeasibleError, gap_traces, scheme_kerr_gate, scheme_x,
+                     scheme_xx_envelope, scheme_y_drag, scheme_z_robustline, scheme_z_straight,
+                     seed_eps_x0)
 from .spectral import (IllConditionedError, NoRobustPointError, RobustLineCache,
                        gap_landscape, robust_line)
 
@@ -298,7 +299,8 @@ def cmd_noise(cfg: dict, out: Path) -> int:
     build, bounds = make_builder(scheme, alpha2, T, cfg, space, rl_cache)
     sched = _build_schedule(scheme, build, bounds, cfg.get("pulse_params") or {})
     omegas = default_frequency_grid(T)
-    deriv = _deriv_trace(sched, space)
+    t, _, slope = gap_traces(sched, space)
+    deriv = (t, slope)
     ff = filter_weight(sched, omegas, space, deriv_trace=deriv)
     out.mkdir(parents=True, exist_ok=True)
     ff.to_csv(out / "filter_weight.csv")

@@ -1,6 +1,7 @@
 """Frequency-noise machinery: realizations, filter weighting, spectral averages.
 
-For an adiabatic Z-type schedule the gate-angle error under a detuning
+For an adiabatic schedule (every channel keeps photon-number parity, so the
+computational states carry parity labels) the gate-angle error under a detuning
 trajectory Delta(t) is, to first order,
 
     theta_err = -int_0^T Delta(t) dE01/ddelta(t) dt,
@@ -120,24 +121,17 @@ def sample_noise(noise: NoiseModel, T: float, dt: float, n_traces: int = 1) -> n
     raise InvalidNoiseModelError("tabulated-psd noise is not realizable as a sampled trace here")
 
 
-def _deriv_trace(schedule: PulseSchedule, space: FockSpace, n_samples: int = 401):
-    if not schedule.is_z_type():
-        raise ValueError("adiabatic noise analysis applies to Z-type schedules only")
-    t, _, deriv = gap_traces(schedule, space, n_samples=n_samples)
-    return t, deriv
-
-
 def first_order_coefficient(
     schedule: PulseSchedule,
     space: FockSpace,
     n_samples: int = 201,
 ) -> float:
-    """Time-averaged gap derivative int dE01/ddelta dt of a Z-type schedule.
+    """Time-averaged gap derivative int dE01/ddelta dt of an adiabatic schedule.
 
     A static detuning shift Delta changes the gate angle by -Delta times
     this coefficient to first order; robust schedules drive it to zero.
     """
-    t, deriv = _deriv_trace(schedule, space, n_samples=n_samples)
+    t, _, deriv = gap_traces(schedule, space, n_samples=n_samples)
     return float(np.trapezoid(deriv, t))
 
 
@@ -155,8 +149,9 @@ def angle_error_functional(
     """
     delta_trace = np.asarray(delta_trace, dtype=float)
     if deriv_trace is None:
-        deriv_trace = _deriv_trace(schedule, space)
-    t_ref, deriv = deriv_trace
+        t_ref, _, deriv = gap_traces(schedule, space)
+    else:
+        t_ref, deriv = deriv_trace
     t = np.linspace(0.0, schedule.duration, len(delta_trace))
     integrand = delta_trace * np.interp(t, t_ref, deriv)
     return float(-np.trapezoid(integrand, t))
@@ -186,14 +181,21 @@ class FilterFunction:
 def filter_weight(
     schedule: PulseSchedule,
     omegas: np.ndarray,
-    space: FockSpace,
+    space: FockSpace | None,
     deriv_trace: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> FilterFunction:
-    """W(omega) = |Fourier transform of the gap-derivative trajectory|^2 / 4."""
+    """W(omega) = |Fourier transform of the gap-derivative trajectory|^2 / 4.
+
+    The trajectory is ``deriv_trace`` = (t, dE01/ddelta) when given, else the
+    :func:`gap_traces` of ``schedule`` in ``space``.
+    """
     omegas = np.asarray(omegas, dtype=float)
-    if deriv_trace is None:
-        deriv_trace = _deriv_trace(schedule, space)
-    t, deriv = deriv_trace
+    if deriv_trace is not None:
+        t, deriv = deriv_trace
+    elif space is None:
+        raise ValueError("filter_weight needs space or a precomputed deriv_trace")
+    else:
+        t, _, deriv = gap_traces(schedule, space)
     phases = np.exp(1j * omegas[:, None] * t[None, :])
     g = np.trapezoid(phases * deriv[None, :], t, axis=1)
     return FilterFunction(omegas=omegas, W=np.abs(g) ** 2 / 4.0)

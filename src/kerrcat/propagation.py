@@ -24,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import (FockSpace, HamiltonianAssembly, block_hamiltonians, is_real, keeps_parity,
-                   parity_blocks, present_channels)
+from .fock import (FockSpace, block_hamiltonians, is_real, keeps_parity, parity_blocks,
+                   present_channels)
 from .pulses import PulseSchedule
 from .spectral import _comp_columns, _parity_spectra
 
@@ -142,17 +142,14 @@ def _propagate_steps(drift, ops, values, dt) -> np.ndarray:
     return U
 
 
-def _propagate_schedule(schedule, assembly, n_steps, delta_rows) -> np.ndarray:
+def _propagate_schedule(schedule, space, n_steps, delta_rows) -> np.ndarray:
     """(batch, d, d) propagators with ``delta_rows`` (batch, n_steps) added to ``delta``."""
     times = np.linspace(0.0, schedule.duration, n_steps + 1)
     mid = 0.5 * (times[:-1] + times[1:])
-    names = ["delta", *(c for c in schedule.channels if c not in ("delta", "g"))]
-    values = np.empty((len(delta_rows), n_steps, len(names)))
-    for j, name in enumerate(names):
-        values[:, :, j] = schedule.channel_at(name, mid)
+    drift, ops, table = schedule.hamiltonian_table(space, mid)
+    values = np.repeat(table[None], len(delta_rows), axis=0)
     values[:, :, 0] += delta_rows
-    ops = [assembly.channels[name] for name in names]
-    return _propagate_steps(assembly.drift, ops, values, times[1] - times[0])
+    return _propagate_steps(drift, ops, values, times[1] - times[0])
 
 
 def _result(U: np.ndarray, step_count: int) -> PropagationResult:
@@ -168,9 +165,8 @@ def propagate_many(
 ) -> list[PropagationResult]:
     """Propagate one schedule for several static detuning offsets at once."""
     delta_offsets = np.atleast_1d(np.asarray(delta_offsets, dtype=float))
-    assembly = HamiltonianAssembly.build(schedule.base, space)
     rows = np.broadcast_to(delta_offsets[:, None], (len(delta_offsets), n_steps))
-    U = _propagate_schedule(schedule, assembly, n_steps, rows)
+    U = _propagate_schedule(schedule, space, n_steps, rows)
     return [_result(Uf, n_steps) for Uf in U]
 
 
@@ -198,8 +194,7 @@ def propagate_noise_trace(
     delta_trace = np.asarray(delta_trace, dtype=float)
     if len(delta_trace) != n_steps:
         raise ValueError(f"delta_trace length {len(delta_trace)} != n_steps {n_steps}")
-    assembly = HamiltonianAssembly.build(schedule.base, space)
-    U = _propagate_schedule(schedule, assembly, n_steps, delta_trace[None, :])[0]
+    U = _propagate_schedule(schedule, space, n_steps, delta_trace[None, :])[0]
     return _result(U, n_steps)
 
 
@@ -213,13 +208,9 @@ def adiabaticity_diagnostic(
     Standard Landau-Zener figure of merit; values well below 1 indicate the
     computational manifold is followed adiabatically.
     """
-    assembly = HamiltonianAssembly.build(schedule.base, space)
     t = np.linspace(0.0, schedule.duration, n_samples)
-    names = [name for name in schedule.channels if name != "g"]
-    ops = [assembly.channels[name] for name in names]
-    values = np.array([schedule.channel_at(name, t) for name in names])
-    values = values.reshape(len(names), n_samples).T
-    energies, states = _parity_spectra(assembly.drift, ops, values)
+    drift, ops, values = schedule.hamiltonian_table(space, t)
+    energies, states = _parity_spectra(drift, ops, values)
     # dH/dt from the channel envelopes: forward difference, backward at t = T
     rates = np.diff(values, axis=0) / np.diff(t)[:, None]
     rates = np.concatenate([rates, rates[-1:]])

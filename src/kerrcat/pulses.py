@@ -110,7 +110,7 @@ def rot_z(theta: float) -> np.ndarray:
 class PulseSchedule:
     """Time-sampled control channels plus target-gate metadata.
 
-    ``channels`` maps channel names (delta, eps2_mod, eps_x, eps_y, g) to
+    ``channels`` maps channel names (delta, eps2_mod, eps_x, eps_y) to
     arrays on the uniform ``times`` grid. ``frame_rotation`` (optional) is a
     Fock-space unitary applied as R^dag U before projecting the gate; the
     Kerr gate uses it for the pi/2 phase-space rotation it induces.
@@ -150,11 +150,19 @@ class PulseSchedule:
         """Instantaneous cat size (eps2_0 + eps2_mod(t)) / K."""
         return (self.base.eps2_0 + self.channel("eps2_mod")) / self.base.kerr
 
-    def is_z_type(self) -> bool:
-        return self.scheme in ("Z_ROBUSTLINE", "Z_STRAIGHT", "KERR_GATE", "IDLE")
+    def hamiltonian_table(self, space: FockSpace, t) -> tuple[np.ndarray, list, np.ndarray]:
+        """(drift, ops, values) with H(t[k]) = drift + sum_j values[k, j] ops[j].
+
+        One column per channel, ``delta`` first (zero when the schedule has
+        none), then the schedule's other channels in their order.
+        """
+        assembly = HamiltonianAssembly.build(self.base, space)
+        names = ["delta", *(c for c in self.channels if c != "delta")]
+        values = np.column_stack([self.channel_at(name, t) for name in names])
+        return assembly.drift, [assembly.channels[name] for name in names], values
 
     def to_csv(self, path) -> None:
-        names = [c for c in (*CHANNELS, "g") if c in self.channels]
+        names = [c for c in CHANNELS if c in self.channels]
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["t", *names])
@@ -414,19 +422,16 @@ def scheme_z_straight(
     )
 
 
-def scheme_kerr_gate(params: KerrCatParams, n_samples: int = DEFAULT_SAMPLES,
-                     space: FockSpace | None = None) -> PulseSchedule:
+def scheme_kerr_gate(params: KerrCatParams, n_samples: int = DEFAULT_SAMPLES, *,
+                     space: FockSpace) -> PulseSchedule:
     """Unprotected Kerr-gate baseline: pump quenched off for T = pi/K.
 
     Free Kerr evolution rotates the cat axis by pi/2 in phase space, so the
-    gate is accompanied by the frame rotation R = diag(i^n) and implements
-    a discrete Z rotation in the rotated cat basis.
+    gate is accompanied by the frame rotation R = diag((-i)^n) and implements
+    a discrete Z rotation in the rotated cat basis; R acts on ``space``.
     """
     T = np.pi / params.kerr
     times = np.linspace(0.0, T, n_samples)
-    frame = None
-    if space is not None:
-        frame = np.diag((-1j) ** np.arange(space.dim))
     return PulseSchedule(
         times=times,
         channels={"eps2_mod": np.full_like(times, -params.eps2_0)},
@@ -434,7 +439,7 @@ def scheme_kerr_gate(params: KerrCatParams, n_samples: int = DEFAULT_SAMPLES,
         scheme="KERR_GATE",
         base=params,
         params={},
-        frame_rotation=frame,
+        frame_rotation=np.diag((-1j) ** np.arange(space.dim)),
     )
 
 
@@ -461,14 +466,14 @@ def gap_traces(
     space: FockSpace,
     n_samples: int = 401,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(t, E_01(t), dE_01/ddelta(t)) along a Z-type schedule trajectory."""
-    if not schedule.is_z_type():
-        raise ValueError("gap traces are defined for Z-type (adiabatic) schedules only")
-    assembly = HamiltonianAssembly.build(schedule.base, space)
+    """(t, E_01(t), dE_01/ddelta(t)) along a schedule trajectory.
+
+    Raises :class:`~kerrcat.spectral.ParityLabelError` when a channel of the
+    schedule couples the parity sectors (a single-photon drive), since the
+    computational states then have no parity labels.
+    """
     t = np.linspace(0.0, schedule.duration, n_samples)
-    names = ("delta", "eps2_mod")
-    values = np.column_stack([schedule.channel_at(name, t) for name in names])
-    gap, deriv, _ = _gap_slopes(assembly.drift, [assembly.channels[n] for n in names], values)
+    gap, deriv, _ = _gap_slopes(*schedule.hamiltonian_table(space, t))
     return t, gap, deriv
 
 

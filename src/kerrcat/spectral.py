@@ -31,7 +31,6 @@ from .fock import (
     hermiticity_defect,
     is_real,
     parity_blocks,
-    parity_operator,
     present_channels,
 )
 
@@ -79,12 +78,6 @@ class LabeledSpectrum:
     def gap(self) -> float:
         """Computational gap E_01 = E_1 - E_0."""
         return float(self.energies[self.comp_indices[1]] - self.energies[self.comp_indices[0]])
-
-    def even_indices(self) -> np.ndarray:
-        return np.flatnonzero(self.parities > 0)
-
-    def odd_indices(self) -> np.ndarray:
-        return np.flatnonzero(self.parities < 0)
 
     def excited_indices(self, count: int | None = None) -> list[int]:
         """Indices of the ``count`` levels adjacent to the computational pair, by energy."""
@@ -155,16 +148,13 @@ def _gap_slopes(drift: np.ndarray, ops, values: np.ndarray):
     return gap, _hf_slope(states[..., i0], states[..., i1]), sector_gap
 
 
-def diagonalize_labeled(H: np.ndarray, parity: np.ndarray) -> LabeledSpectrum:
-    """Dense Hermitian eigendecomposition with parity labels.
+def diagonalize_labeled(H: np.ndarray) -> LabeledSpectrum:
+    """Dense Hermitian eigendecomposition with Fock-parity labels.
 
-    ``parity`` must be the Fock parity diag((-1)^n); the even and odd Fock
-    sectors are diagonalized separately, so the labels are exact also at
-    the delta = 0 degeneracy point.
+    The even and odd Fock sectors are diagonalized separately, so the labels
+    are exact also at the delta = 0 degeneracy point.
     """
     d = H.shape[-1]
-    if not np.array_equal(parity, parity_operator(FockSpace(d))):
-        raise InvalidInputError("parity must be the Fock parity diag((-1)^n)")
     energies, states = _parity_spectra(H, [], np.empty(0))
     parities = np.where(np.arange(d) <= _comp_columns(d)[0], 1, -1)
     order = np.argsort(energies, kind="stable")
@@ -178,7 +168,7 @@ def diagonalize_labeled(H: np.ndarray, parity: np.ndarray) -> LabeledSpectrum:
 def spectrum_at(params: KerrCatParams, delta_shift: float, space: FockSpace) -> LabeledSpectrum:
     """Labeled spectrum of the drift Hamiltonian at total detuning delta + Delta."""
     H = HamiltonianAssembly.build(params, space).at({"delta": delta_shift})
-    return diagonalize_labeled(H, parity_operator(space))
+    return diagonalize_labeled(H)
 
 
 def energy_gap(params: KerrCatParams, delta_shift: float, space: FockSpace) -> float:
@@ -220,38 +210,41 @@ def gap_derivative(
 ROBUST_SECTOR_GAP_MIN = 1.2
 
 
-def robust_line(
-    alpha2: float,
-    space: FockSpace,
-    kerr: float = 1.0,
-    deriv_tol: float = 1e-9,
-    delta_tol: float = 1e-10,
-    coarse_points: int = 64,
-) -> float:
+def robust_line(alpha2: float, space: FockSpace, kerr: float = 1.0) -> float:
     """Detuning delta_rob in (0, K) where the gap derivative vanishes.
 
-    Found by bisection on the Hellmann-Feynman derivative after a coarse
-    bracket scan. Raises :class:`NoRobustPointError` when the derivative
-    does not change sign in (0, K), or when the zero sits on an avoided
-    crossing with leakage states, both of which happen for small cat sizes.
+    A 64-point scan brackets the first + -> - sign change of the
+    Hellmann-Feynman derivative, and Illinois false position finds the root
+    inside that bracket. Raises :class:`NoRobustPointError` when the
+    derivative does not change sign in (0, K), or when the zero sits on an
+    avoided crossing with leakage states, both of which happen for small cat
+    sizes.
     """
     params = KerrCatParams.from_alpha2(alpha2, kerr=kerr)
     assembly = HamiltonianAssembly.build(params, space)
-    grid = np.linspace(kerr / coarse_points, kerr * (1 - 1e-9), coarse_points)
+    grid = np.linspace(kerr / 64, kerr * (1 - 1e-9), 64)
     values = _checked_slopes(assembly, grid, NEIGHBOR_TOL)
     crossings = np.flatnonzero((values[:-1] > 0) & (values[1:] <= 0))
     if len(crossings) == 0:
         raise NoRobustPointError(
             f"gap derivative has no + -> - sign change in (0, K) at alpha2={alpha2}"
         )
-    lo, hi = grid[crossings[0]], grid[crossings[0] + 1]
-    root = 0.5 * (lo + hi)
-    while hi - lo > delta_tol * kerr:
-        fmid = _checked_slopes(assembly, [root], NEIGHBOR_TOL)[0]
-        if abs(fmid) < deriv_tol:
-            break
-        lo, hi = (root, hi) if fmid > 0 else (lo, root)
-        root = 0.5 * (lo + hi)
+    k = crossings[0]
+    (lo, hi), (f_lo, f_hi) = grid[k:k + 2], values[k:k + 2]
+    root, step, side = lo, hi - lo, 0
+    # Illinois false position: the bracket keeps f(lo) > 0 >= f(hi), and the
+    # value at an end kept twice in a row is halved, so both ends close in and
+    # the steps shrink superlinearly; a step under 1e-10 K ends the search
+    while abs(step) > 1e-10 * kerr:
+        new = (lo * f_hi - hi * f_lo) / (f_hi - f_lo)
+        step, root = new - root, new
+        f = _checked_slopes(assembly, [root], NEIGHBOR_TOL)[0]
+        if f > 0:
+            f_hi = f_hi / 2 if side > 0 else f_hi
+            lo, f_lo, side = root, f, 1
+        else:
+            f_lo = f_lo / 2 if side < 0 else f_lo
+            hi, f_hi, side = root, f, -1
 
     _, _, sector_gap = _gap_slopes(assembly.drift, [assembly.channels["delta"]],
                                    np.array([root]))

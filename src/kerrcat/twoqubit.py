@@ -92,8 +92,7 @@ def echo_xx(theta: float, model: TwoQubitEffectiveModel, echo_qubit: str = "A") 
         raise ValueError("echo_qubit must be 'A' or 'B'")
     flip = _XA if echo_qubit == "A" else _XB
     hxa, _, hxb, _ = model.h_elems
-    # integrated coupling per segment for an XX angle of theta/2 each half:
-    # exp(-i G/2 hxa hxb XX) per segment, two segments -> G hxa hxb = theta/2... per half
+    # each segment has G h_xA h_xB = theta/2, so R = exp(-i theta/4 XX); the echo cancels YY
     G_half = theta / (2.0 * hxa * hxb)
     R = expm(-1j * effective_interaction(model, G_half))
     return flip @ R @ flip @ R

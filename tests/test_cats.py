@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from kerrcat.cats import (TruncationError, axis_from_drive_phase, cat_vectors,
                           coherent_vector, drive_phase_for_axis, matrix_elements,
                           projected_number_operator)
-from kerrcat.fock import FockSpace, destroy
+from kerrcat.fock import FockSpace, destroy, parity_operator
 
 SPACE = FockSpace(40)
 
@@ -18,6 +18,13 @@ def test_coherent_is_annihilation_eigenvector():
         resid = a @ v - alpha * v
         assert np.linalg.norm(resid) < 1e-10
         assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_coherent_vector_negative_amplitude():
+    # |-alpha> = Pi |alpha>, the second component of every cat
+    for alpha in (0.5, 1.2, 1.7):
+        assert np.array_equal(coherent_vector(-alpha, SPACE),
+                              parity_operator(SPACE) @ coherent_vector(alpha, SPACE))
 
 
 def test_cat_vectors_orthonormal_and_parity():

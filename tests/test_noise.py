@@ -170,6 +170,15 @@ def test_spectral_static_equals_variance_times_w0():
     assert avg == pytest.approx(1e-6 * ff.W[0], rel=1e-12)
 
 
+def test_filter_weight_needs_space_or_trace():
+    sched = idle_schedule(6.0, KerrCatParams.from_alpha2(2.0), n_samples=21)
+    noise = NoiseModel("gaussian-quasistatic", {"sigma": 1e-3})
+    with pytest.raises(ValueError, match="space.*deriv_trace"):
+        filter_weight(sched, np.array([0.0]), None)
+    with pytest.raises(ValueError, match="space.*deriv_trace"):
+        spectral_average_infidelity(sched, noise)
+
+
 def test_default_grid():
     grid = default_frequency_grid(10.0, n_points=101)
     assert grid[0] == 0.0

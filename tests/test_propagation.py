@@ -193,7 +193,7 @@ def test_adiabaticity_diagnostic_includes_final_sample():
     dH = rate * asm.channels["eps2_mod"]
 
     def ratio_at(t):
-        spec = diagonalize_labeled(asm.at({"eps2_mod": rate * t}), parity_operator(space))
+        spec = diagonalize_labeled(asm.at({"eps2_mod": rate * t}))
         return max(abs(np.vdot(spec.states[:, j], dH @ comp))
                    / (spec.energies[j] - spec.energies[i]) ** 2
                    for comp, i in ((spec.psi0, spec.comp_indices[0]),

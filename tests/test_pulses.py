@@ -1,17 +1,20 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kerrcat.fock import FockSpace, HamiltonianAssembly, KerrCatParams
-from kerrcat.pulses import (AdiabaticityLossError, InvalidRampError, SchemeInfeasibleError,
-                            _drag_exact, envelope_integral, gap_traces,
+from kerrcat.noise import first_order_coefficient
+from kerrcat.pulses import (AdiabaticityLossError, InvalidRampError, PulseSchedule,
+                            SchemeInfeasibleError, _drag_exact, envelope_integral, gap_traces,
                             idle_schedule, predicted_angle, ramp_down, ramp_up,
                             rot_x, rot_y, rot_z, scheme_kerr_gate, scheme_x,
                             scheme_y_drag, scheme_z_robustline,
                             scheme_z_straight, seed_eps_x0, truncated_gaussian,
                             truncated_gaussian_deriv)
-from kerrcat.spectral import RobustLineCache, energy_gap, gap_derivative
+from kerrcat.spectral import ParityLabelError, RobustLineCache, energy_gap, gap_derivative
 
 SPACE = FockSpace(30)
 
@@ -202,6 +205,9 @@ def test_kerr_gate_schedule():
     assert np.allclose(s.channels["eps2_mod"], -2.0)
     assert s.frame_rotation is not None
     assert np.allclose(np.abs(np.diag(s.frame_rotation)), 1.0)
+    # without a Fock space there is no frame rotation to score the gate in
+    with pytest.raises(TypeError):
+        scheme_kerr_gate(p)
 
 
 def test_predicted_angle_static_term(robust_cache_2):
@@ -221,9 +227,34 @@ def test_predicted_angle_static_term(robust_cache_2):
     assert theta1 - theta0 == pytest.approx(-1e-3 * np.trapezoid(deriv, t), rel=1e-9)
 
 
+def test_gap_traces_follow_any_parity_preserving_schedule():
+    # a custom schedule with only a pump ramp: its scheme name plays no part
+    p = KerrCatParams(eps2_0=2.0, delta=0.3)
+    times = np.linspace(0.0, 10.0, 21)
+    s = PulseSchedule(times=times, channels={"eps2_mod": -0.05 * times}, target=rot_z(0.0),
+                      scheme="RAMP", base=p)
+    t, gap, deriv = gap_traces(s, SPACE, n_samples=11)
+    points = [KerrCatParams(eps2_0=2.0 + s.channel_at("eps2_mod", tk), delta=0.3) for tk in t]
+    assert gap == pytest.approx(np.array([energy_gap(pk, 0.0, SPACE) for pk in points]),
+                              abs=1e-11)
+    slopes = np.array([gap_derivative(pk, 0.0, SPACE) for pk in points])
+    assert deriv == pytest.approx(slopes, abs=1e-11)
+    assert first_order_coefficient(s, SPACE, n_samples=11) == pytest.approx(
+        np.trapezoid(slopes, t), abs=1e-11)
+
+
+def test_gap_traces_refuse_parity_breaking_channel():
+    # a single-photon drive couples the parity sectors, whatever the scheme name
+    z = scheme_z_straight(30.0, 0.5, -0.5, KerrCatParams.from_alpha2(2.0), n_samples=101)
+    s = dataclasses.replace(z, channels={**z.channels, "eps_x": 1e-3 * z.channel("delta")})
+    with pytest.raises(ParityLabelError):
+        gap_traces(s, SPACE)
+    with pytest.raises(ParityLabelError):
+        first_order_coefficient(s, SPACE)
+
+
 def test_idle_schedule_and_csv(tmp_path):
     s = idle_schedule(10.0, KerrCatParams.from_alpha2(1.0), n_samples=11)
-    assert s.is_z_type()
     assert np.allclose(s.delta_of_t(), 0.0)
     x = scheme_x(10.0, 0.2, KerrCatParams.from_alpha2(1.0), n_samples=11)
     path = tmp_path / "sched.csv"
