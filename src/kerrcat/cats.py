@@ -8,10 +8,9 @@ number operator.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import atan2, cos, exp, sin, sqrt
+from math import atan2, cos, exp, lgamma, sin, sqrt
 
 import numpy as np
-from scipy.special import gammaln
 
 from .fock import FockSpace
 
@@ -37,7 +36,8 @@ def coherent_vector(alpha: float, space: FockSpace) -> np.ndarray:
         vec[0] = 1.0
         return vec
     n = np.arange(space.dim)
-    log_coeff = -0.5 * alpha**2 + n * np.log(abs(alpha)) - 0.5 * gammaln(n + 1)
+    log_factorial = np.array([lgamma(k + 1) for k in range(space.dim)])
+    log_coeff = -0.5 * alpha**2 + n * np.log(abs(alpha)) - 0.5 * log_factorial
     return (np.sign(alpha) ** n * np.exp(log_coeff)).astype(complex)
 
 

@@ -13,6 +13,7 @@ so time propagation only recombines cached matrices with scalars.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Mapping
 
 import numpy as np
@@ -86,9 +87,9 @@ def parity_operator(space: FockSpace) -> np.ndarray:
     return np.diag((-1.0) ** np.arange(space.dim)).astype(complex)
 
 
-def parity_blocks(dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """Fock indices of the even- and odd-parity sectors."""
-    return np.arange(0, dim, 2), np.arange(1, dim, 2)
+def parity_blocks(dim: int) -> tuple[slice, slice]:
+    """Slices of the even- and odd-parity Fock sectors."""
+    return slice(0, dim, 2), slice(1, dim, 2)
 
 
 def is_real(op: np.ndarray) -> bool:
@@ -110,20 +111,45 @@ def present_channels(ops, values):
 
 
 def block_hamiltonians(drift, ops, values, block, real) -> np.ndarray:
-    """drift + sum_j values[..., j] ops[j] on ``block`` x ``block``, stacked.
+    """drift + sum_j values[..., j] ops[j] on the ``block`` x ``block`` slice, stacked.
 
     The stack runs over the leading axes of ``values``; with ``real`` set
-    the imaginary parts are dropped and the stack is float64.
+    the imaginary parts are dropped and the stack is float64. Without
+    operators the drift block is broadcast over the stack (a read-only view).
     """
-    b = len(block)
-    sel = np.ix_(block, block)
-    mats = np.array([drift[sel], *(op[sel] for op in ops)])
+    mats = np.array([drift[block, block], *(op[block, block] for op in ops)])
     if real:
         mats = mats.real
+    b = mats.shape[-1]
+    if not ops:
+        return np.broadcast_to(mats[0], (*values.shape[:-1], b, b))
     rows = int(np.prod(values.shape[:-1]))
     H = values.reshape(rows, len(ops)) @ mats[1:].reshape(len(ops), b * b)
     H += mats[0].reshape(-1)
     return H.reshape(*values.shape[:-1], b, b)
+
+
+@lru_cache(maxsize=None)
+def _ladder_algebra(dim: int):
+    """n, a^dag2 a^2, (a^2 + a^dag2)/2 and the channel operators of ``dim``.
+
+    Built once per dimension and shared by every assembly, so all arrays are
+    read-only; each assembly gets its own copy of the channel dict.
+    """
+    a = destroy(FockSpace(dim))
+    ad = a.conj().T
+    n = ad @ a
+    kerr_term = ad @ ad @ a @ a
+    two_photon = 0.5 * (a @ a + ad @ ad)
+    channels = {
+        "delta": n,
+        "eps2_mod": two_photon,
+        "eps_x": 0.5 * (a + ad),
+        "eps_y": -0.5j * (a - ad),
+    }
+    for op in (kerr_term, *channels.values()):
+        op.flags.writeable = False
+    return n, kerr_term, two_photon, channels
 
 
 @dataclass(frozen=True)
@@ -135,6 +161,10 @@ class HamiltonianAssembly:
       eps2_mod -- (a^2 + a^dag^2)/2 (two-photon pump modulation)
       eps_x    -- (a + a^dag)/2 (single-photon drive, X quadrature)
       eps_y    -- -i (a - a^dag)/2 (single-photon drive, Y quadrature)
+
+    The channel operators are built once per Fock dimension and shared, so
+    they are read-only; ``drift`` and the ``channels`` dict are the
+    assembly's own.
     """
 
     params: KerrCatParams
@@ -144,22 +174,13 @@ class HamiltonianAssembly:
 
     @classmethod
     def build(cls, params: KerrCatParams, space: FockSpace) -> "HamiltonianAssembly":
-        a = destroy(space)
-        ad = a.conj().T
-        n = ad @ a
-        two_photon = 0.5 * (a @ a + ad @ ad)
+        n, kerr_term, two_photon, channels = _ladder_algebra(space.dim)
         drift = (
             params.delta * n
-            - 0.5 * params.kerr * (ad @ ad @ a @ a)
+            - 0.5 * params.kerr * kerr_term
             + params.eps2_0 * two_photon
         )
-        channels = {
-            "delta": n,
-            "eps2_mod": two_photon,
-            "eps_x": 0.5 * (a + ad),
-            "eps_y": -0.5j * (a - ad),
-        }
-        return cls(params=params, space=space, drift=drift, channels=channels)
+        return cls(params=params, space=space, drift=drift, channels=dict(channels))
 
     def at(self, channel_values: Mapping[str, float] | None = None) -> np.ndarray:
         """Instantaneous Hamiltonian for the given channel scalars."""

@@ -135,10 +135,20 @@ def first_order_coefficient(
     return float(np.trapezoid(deriv, t))
 
 
+def _slope_trace(schedule, space, deriv_trace):
+    """``deriv_trace`` = (t, dE01/ddelta) when given, else the gap traces in ``space``."""
+    if deriv_trace is not None:
+        return deriv_trace
+    if space is None:
+        raise ValueError("the gap-slope trace needs space or a precomputed deriv_trace")
+    t, _, deriv = gap_traces(schedule, space)
+    return t, deriv
+
+
 def angle_error_functional(
     schedule: PulseSchedule,
     delta_trace: np.ndarray,
-    space: FockSpace,
+    space: FockSpace | None,
     deriv_trace: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> float:
     """First-order gate-angle error -int Delta(t) dE01/ddelta(t) dt.
@@ -148,10 +158,7 @@ def angle_error_functional(
     spectral work across many realizations.
     """
     delta_trace = np.asarray(delta_trace, dtype=float)
-    if deriv_trace is None:
-        t_ref, _, deriv = gap_traces(schedule, space)
-    else:
-        t_ref, deriv = deriv_trace
+    t_ref, deriv = _slope_trace(schedule, space, deriv_trace)
     t = np.linspace(0.0, schedule.duration, len(delta_trace))
     integrand = delta_trace * np.interp(t, t_ref, deriv)
     return float(-np.trapezoid(integrand, t))
@@ -190,12 +197,7 @@ def filter_weight(
     :func:`gap_traces` of ``schedule`` in ``space``.
     """
     omegas = np.asarray(omegas, dtype=float)
-    if deriv_trace is not None:
-        t, deriv = deriv_trace
-    elif space is None:
-        raise ValueError("filter_weight needs space or a precomputed deriv_trace")
-    else:
-        t, _, deriv = gap_traces(schedule, space)
+    t, deriv = _slope_trace(schedule, space, deriv_trace)
     phases = np.exp(1j * omegas[:, None] * t[None, :])
     g = np.trapezoid(phases * deriv[None, :], t, axis=1)
     return FilterFunction(omegas=omegas, W=np.abs(g) ** 2 / 4.0)

@@ -123,7 +123,7 @@ def _propagate_steps(drift, ops, values, dt) -> np.ndarray:
     if real and all(keeps_parity(op) for op in (drift, *ops)):
         blocks = parity_blocks(d)
     else:
-        blocks = (np.arange(d),)
+        blocks = (slice(0, d),)
     s = _mirror_signs(drift, ops, values)
     if s is not None:
         values = values[:, :(n_steps + 1) // 2]
@@ -138,7 +138,7 @@ def _propagate_steps(drift, ops, values, dt) -> np.ndarray:
             if n_steps % 2:
                 prod = steps[:, -1] @ prod
             prod = mirror @ prod
-        U[:, block[:, None], block[None, :]] = prod
+        U[:, block, block] = prod
     return U
 
 

@@ -121,10 +121,10 @@ def _parity_spectra(drift: np.ndarray, ops, values: np.ndarray) -> tuple[np.ndar
     for block in parity_blocks(d):
         w, V = np.linalg.eigh(block_hamiltonians(drift, ops, values, block, real))
         pivot = np.take_along_axis(V, np.argmax(np.abs(V), axis=-2)[..., None, :], axis=-2)
-        cols = slice(column, column + len(block))
+        cols = slice(column, column + w.shape[-1])
         energies[..., cols] = w
         states[..., block, cols] = V / (pivot / np.abs(pivot))
-        column += len(block)
+        column += w.shape[-1]
     return energies, states
 
 
@@ -176,15 +176,19 @@ def energy_gap(params: KerrCatParams, delta_shift: float, space: FockSpace) -> f
     return spectrum_at(params, delta_shift, space).gap
 
 
-def _checked_slopes(assembly: HamiltonianAssembly, deltas, neighbor_tol: float) -> np.ndarray:
-    """Gap derivatives at the detuning shifts ``deltas``, refusing near-degenerate states."""
+def _checked_slopes(assembly: HamiltonianAssembly, deltas, neighbor_tol: float):
+    """Gap derivatives and sector gaps at the detuning shifts ``deltas``.
+
+    Refuses near-degenerate states: raises :class:`IllConditionedError` when
+    a sector gap falls below ``neighbor_tol`` K.
+    """
     _, slopes, sector_gap = _gap_slopes(assembly.drift, [assembly.channels["delta"]],
                                         np.asarray(deltas, dtype=float)[:, None])
     if np.any(sector_gap < neighbor_tol * assembly.params.kerr):
         raise IllConditionedError(
             "computational state nearly degenerate with its parity-sector neighbor"
         )
-    return slopes
+    return slopes, sector_gap
 
 
 def gap_derivative(
@@ -199,7 +203,8 @@ def gap_derivative(
     computational states are separated from their parity-sector neighbors.
     """
     assembly = HamiltonianAssembly.build(params, space)
-    return float(_checked_slopes(assembly, [delta_shift], neighbor_tol)[0])
+    (slope,), _ = _checked_slopes(assembly, [delta_shift], neighbor_tol)
+    return float(slope)
 
 
 #: Minimum parity-sector gap (units K) at the robust point for it to count
@@ -223,7 +228,7 @@ def robust_line(alpha2: float, space: FockSpace, kerr: float = 1.0) -> float:
     params = KerrCatParams.from_alpha2(alpha2, kerr=kerr)
     assembly = HamiltonianAssembly.build(params, space)
     grid = np.linspace(kerr / 64, kerr * (1 - 1e-9), 64)
-    values = _checked_slopes(assembly, grid, NEIGHBOR_TOL)
+    values, sector_gaps = _checked_slopes(assembly, grid, NEIGHBOR_TOL)
     crossings = np.flatnonzero((values[:-1] > 0) & (values[1:] <= 0))
     if len(crossings) == 0:
         raise NoRobustPointError(
@@ -231,14 +236,14 @@ def robust_line(alpha2: float, space: FockSpace, kerr: float = 1.0) -> float:
         )
     k = crossings[0]
     (lo, hi), (f_lo, f_hi) = grid[k:k + 2], values[k:k + 2]
-    root, step, side = lo, hi - lo, 0
+    root, step, side, sector_gap = lo, hi - lo, 0, sector_gaps[k]
     # Illinois false position: the bracket keeps f(lo) > 0 >= f(hi), and the
     # value at an end kept twice in a row is halved, so both ends close in and
     # the steps shrink superlinearly; a step under 1e-10 K ends the search
     while abs(step) > 1e-10 * kerr:
         new = (lo * f_hi - hi * f_lo) / (f_hi - f_lo)
         step, root = new - root, new
-        f = _checked_slopes(assembly, [root], NEIGHBOR_TOL)[0]
+        (f,), (sector_gap,) = _checked_slopes(assembly, [root], NEIGHBOR_TOL)
         if f > 0:
             f_hi = f_hi / 2 if side > 0 else f_hi
             lo, f_lo, side = root, f, 1
@@ -246,8 +251,6 @@ def robust_line(alpha2: float, space: FockSpace, kerr: float = 1.0) -> float:
             f_lo = f_lo / 2 if side < 0 else f_lo
             hi, f_hi, side = root, f, -1
 
-    _, _, sector_gap = _gap_slopes(assembly.drift, [assembly.channels["delta"]],
-                                   np.array([root]))
     if sector_gap < ROBUST_SECTOR_GAP_MIN * kerr:
         raise NoRobustPointError(
             f"gap maximum at alpha2={alpha2} sits on an avoided crossing "

@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -117,3 +121,15 @@ def test_axis_limits():
     axis_y = axis_from_drive_phase(np.pi / 2, 1.5)
     assert abs(axis_y.phi) == pytest.approx(np.pi / 2, abs=1e-12)
     assert axis_y.h_phi == pytest.approx(hy, abs=1e-12)
+
+
+def test_import_leaves_scipy_special_unloaded():
+    import kerrcat
+
+    src = os.path.dirname(os.path.dirname(kerrcat.__file__))
+    code = "import sys, kerrcat; print('scipy.special' in sys.modules)"
+    path = [src, *filter(None, [os.environ.get("PYTHONPATH")])]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"

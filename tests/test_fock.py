@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 
@@ -91,3 +93,43 @@ def test_pure_kerr_spectrum():
     H = build_hamiltonian(KerrCatParams(), space)
     n = np.arange(5)
     assert np.allclose(np.sort(np.diag(H).real), np.sort(-0.5 * n * (n - 1)))
+
+
+@pytest.mark.parametrize("dim", [2, 7, 40])
+def test_cached_build_matches_formula_bit_for_bit(dim):
+    space = FockSpace(dim)
+    a = destroy(space)
+    ad = a.conj().T
+    for p in (KerrCatParams(), KerrCatParams(kerr=1.3, eps2_0=2.0, delta=0.3),
+              KerrCatParams(kerr=0.7, eps2_0=0.45, delta=-1.1)):
+        expected = (p.delta * (ad @ a) - 0.5 * p.kerr * (ad @ ad @ a @ a)
+                    + p.eps2_0 * (0.5 * (a @ a + ad @ ad)))
+        asm = HamiltonianAssembly.build(p, space)
+        assert np.array_equal(asm.drift, expected)
+        assert np.array_equal(asm.channels["eps_x"], 0.5 * (a + ad))
+        assert np.array_equal(asm.channels["eps_y"], -0.5j * (a - ad))
+
+
+def test_cached_operators_are_read_only():
+    space = FockSpace(6)
+    asm = HamiltonianAssembly.build(KerrCatParams.from_alpha2(1.0), space)
+    for name in CHANNELS:
+        with pytest.raises(ValueError):
+            asm.channels[name][0, 0] = 1.0
+        with pytest.raises(ValueError):
+            asm.channels[name] *= 2.0
+    again = HamiltonianAssembly.build(KerrCatParams(), space)
+    assert again.channels["delta"] is asm.channels["delta"]
+    assert np.array_equal(again.channels["delta"], create(space) @ destroy(space))
+    # the dict, the drift and the public constructors stay the caller's own
+    asm.channels["delta"] = np.eye(6)
+    assert np.array_equal(again.channels["delta"], create(space) @ destroy(space))
+    asm.drift[0, 0] = 5.0
+    for fresh in (destroy(space), create(space), number_operator(space)):
+        fresh[0, 0] = 5.0
+    assert np.array_equal(destroy(space), np.diag(np.sqrt(np.arange(1, 6)), 1))
+    assert HamiltonianAssembly.build(KerrCatParams(), space).drift[0, 0] == 0.0
+    # an assembly can still be pickled (e.g. sent to a process pool)
+    copy = pickle.loads(pickle.dumps(again))
+    assert np.array_equal(copy.drift, again.drift)
+    assert np.array_equal(copy.channels["eps_y"], again.channels["eps_y"])

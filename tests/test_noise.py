@@ -177,6 +177,8 @@ def test_filter_weight_needs_space_or_trace():
         filter_weight(sched, np.array([0.0]), None)
     with pytest.raises(ValueError, match="space.*deriv_trace"):
         spectral_average_infidelity(sched, noise)
+    with pytest.raises(ValueError, match="space.*deriv_trace"):
+        angle_error_functional(sched, np.full(21, 1e-3), None)
 
 
 def test_default_grid():

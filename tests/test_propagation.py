@@ -73,12 +73,12 @@ def _sequential_product(drift, ops, values, dt):
     real = all(is_real(op) for op in (drift, *ops))
     parity = real and all(keeps_parity(op) for op in (drift, *ops))
     U = np.zeros((len(values), d, d), dtype=complex)
-    for block in parity_blocks(d) if parity else (np.arange(d),):
+    for block in parity_blocks(d) if parity else (slice(0, d),):
         steps = _step_exponentials(block_hamiltonians(drift, ops, values, block, real), dt)
         prod = steps[:, 0]
         for k in range(1, values.shape[1]):
             prod = steps[:, k] @ prod
-        U[:, block[:, None], block[None, :]] = prod
+        U[:, block, block] = prod
     return U
 
 

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kerrcat.fock import (FockSpace, InvalidInputError, KerrCatParams, build_hamiltonian,
-                          parity_operator)
+                          destroy, number_operator, parity_operator)
 from kerrcat.propagation import adiabaticity_diagnostic
 from kerrcat.pulses import scheme_x
 from kerrcat.spectral import (IllConditionedError, NoRobustPointError,
@@ -22,6 +22,34 @@ def test_pure_kerr_labeling():
     assert spec.gap == pytest.approx(0.0, abs=1e-12)
     assert abs(spec.psi0[0]) == pytest.approx(1.0)
     assert abs(spec.psi1[1]) == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("delta", [0.0, 0.37, -1.5])
+def test_spectrum_at_equals_labeled_explicit_hamiltonian(delta):
+    params = KerrCatParams(kerr=1.0, eps2_0=2.0, delta=0.1)
+    spec = spectrum_at(params, delta, SPACE)
+    a = destroy(SPACE)
+    ad = a.conj().T
+    n = ad @ a
+    explicit = (0.1 * n - 0.5 * (ad @ ad @ a @ a) + 2.0 * (0.5 * (a @ a + ad @ ad))) + delta * n
+    for H in (build_hamiltonian(params, SPACE, {"delta": delta}), explicit):
+        ref = diagonalize_labeled(H)
+        assert np.array_equal(spec.energies, ref.energies)
+        assert np.array_equal(spec.states, ref.states)
+        assert np.array_equal(spec.parities, ref.parities)
+        assert spec.comp_indices == ref.comp_indices
+    # one Hamiltonian broadcast over a stack gives its spectrum in every row,
+    # and adding delta through a channel gives the same spectrum
+    H = build_hamiltonian(params, SPACE, {"delta": delta})
+    single = _parity_spectra(H, [], np.empty(0))
+    energies, states = _parity_spectra(H, [], np.empty((3, 0)))
+    assert np.array_equal(energies, np.broadcast_to(single[0], energies.shape))
+    assert np.array_equal(states, np.broadcast_to(single[1], states.shape))
+    if delta:
+        energies, states = _parity_spectra(build_hamiltonian(params, SPACE),
+                                           [number_operator(SPACE)], np.full((2, 1), delta))
+        assert np.allclose(energies, single[0], rtol=0, atol=1e-11)
+        assert np.allclose(states, single[1], rtol=0, atol=1e-9)
 
 
 @pytest.mark.parametrize("alpha2", [0.5, 1.0, 2.0, 3.0])
@@ -65,7 +93,7 @@ def test_robust_line_reference_points(alpha2, expected):
 
 @pytest.mark.parametrize("alpha2", [0.2, 0.5, 0.8])
 def test_no_robust_point_for_small_cats(alpha2):
-    with pytest.raises(NoRobustPointError):
+    with pytest.raises(NoRobustPointError, match="avoided crossing"):
         robust_line(alpha2, SPACE)
 
 
