@@ -11,6 +11,8 @@ Subcommands
 Configs are JSON files; a handful of named presets reproduce the standard
 sweep families. Every output carries the package version and a hash of the
 resolved config, and reruns with the same config and seed are byte-identical.
+A config fault exits 1 and a numerical failure exits 2. The Z_ROBUSTLINE
+scheme builds its robust-line table for each sweep point.
 """
 
 from __future__ import annotations
@@ -26,21 +28,25 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .cats import matrix_elements
 from .fidelity import average_infidelity
 from .fock import FockSpace, KerrCatParams
 from .noise import (NoiseModel, default_frequency_grid, filter_weight, monte_carlo_infidelity,
                     spectral_average_infidelity)
 from .optimize import ParamSpace, grid_optimize
-from .pulses import (SchemeInfeasibleError, gap_traces, scheme_kerr_gate, scheme_x,
-                     scheme_xx_envelope, scheme_y_drag, scheme_z_robustline, scheme_z_straight,
-                     seed_eps_x0)
+from .pulses import (PulseSchedule, SchemeInfeasibleError, gap_traces, scheme_kerr_gate,
+                     scheme_x, scheme_xx_envelope, scheme_y_drag, scheme_z_robustline,
+                     scheme_z_straight, seed_eps_x0)
 from .spectral import (IllConditionedError, NoRobustPointError, RobustLineCache,
-                       gap_landscape, robust_line)
+                       gap_landscape, robust_line, spectrum_at)
+from .twoqubit import (TwoQubitEffectiveModel, echo_xx, makhlin_invariants,
+                       phase_optimized_distance, xx_target)
 
 
 class ConfigError(ValueError):
     pass
+
+
+COMMANDS = ("spectrum", "gate-sweep", "robust-line", "noise", "twoqubit", "convergence")
 
 
 PRESETS = {
@@ -102,8 +108,13 @@ def load_config(spec: str | None, overrides: dict) -> dict:
             except json.JSONDecodeError as exc:
                 raise ConfigError(f"malformed config: {exc}") from exc
     cfg.update({k: v for k, v in overrides.items() if v is not None})
-    if cfg.get("delta_max", 1.0) <= 0:
+    if cfg["delta_max"] <= 0:
         raise ConfigError("delta_max must be positive")
+    for key, low in (("fock_dim", 2), ("n_steps", 1), ("n_nodes", 3)):
+        if not isinstance(cfg[key], int) or cfg[key] < low:
+            raise ConfigError(f"{key} must be an integer >= {low}, got {cfg[key]!r}")
+    if cfg["n_nodes"] % 2 == 0:
+        raise ConfigError(f"n_nodes must be odd, got {cfg['n_nodes']}")
     for key in ("alpha2_list", "T_list"):
         if key in cfg and not cfg[key]:
             raise ConfigError(f"{key} must be non-empty")
@@ -125,8 +136,7 @@ def _write_json(path: Path, payload: dict) -> None:
 
 # --- schedule builders and bounds --------------------------------------------
 
-def make_builder(scheme: str, alpha2: float, T: float, cfg: dict,
-                 space: FockSpace, rl_cache=None):
+def make_builder(scheme: str, alpha2: float, T: float, cfg: dict, space: FockSpace):
     params = KerrCatParams.from_alpha2(alpha2)
     if scheme == "X":
         def build(eps_x0):
@@ -135,18 +145,19 @@ def make_builder(scheme: str, alpha2: float, T: float, cfg: dict,
         bounds = {"eps_x0": (0.5 * seed, 1.5 * seed)}
         return build, bounds
     if scheme == "Y_DRAG":
-        mode = cfg.get("drag_mode", "approx")
-
         def build(eps_y0, eps2_ramp0):
-            return scheme_y_drag(T, eps_y0, eps2_ramp0, params, space, drag_mode=mode)
-        bounds = {"eps_y0": (0.0, cfg.get("eps_y_bound", 10.0)),
+            return scheme_y_drag(T, eps_y0, eps2_ramp0, params, space,
+                                 drag_mode=cfg["drag_mode"])
+        bounds = {"eps_y0": (0.0, cfg["eps_y_bound"]),
                   "eps2_ramp0": (-params.eps2_0, 0.0)}
         if alpha2 == 0:
             bounds["eps2_ramp0"] = (0.0, 0.0)
         return build, bounds
     if scheme == "Z_ROBUSTLINE":
-        if rl_cache is None:
-            raise SchemeInfeasibleError("no robust-line cache for this cat size")
+        try:
+            rl_cache = RobustLineCache(0.95, max(alpha2, 1.0), space, n_points=40)
+        except NoRobustPointError as exc:
+            raise SchemeInfeasibleError("no robust-line cache for this cat size") from exc
 
         def build(tau, eps2_ramp0):
             return scheme_z_robustline(T, tau, eps2_ramp0, params, rl_cache)
@@ -166,24 +177,31 @@ def make_builder(scheme: str, alpha2: float, T: float, cfg: dict,
     raise ConfigError(f"unknown scheme {scheme!r}")
 
 
-def _robust_line_cache(alpha2: float, space: FockSpace) -> RobustLineCache:
-    return RobustLineCache(0.95, max(alpha2, 1.0), space, n_points=40)
+def _configured_schedule(cfg: dict, space: FockSpace, default_scheme: str,
+                        seed_x: bool = False) -> tuple[PulseSchedule, float]:
+    """The configured ``scheme`` at (``alpha2``, ``T``) built from ``pulse_params``, and ``T``.
 
-
-def _build_schedule(scheme: str, build, bounds: dict, pulse_params: dict):
-    """The schedule for ``pulse_params``, which must name exactly the builder's parameters."""
+    ``pulse_params`` must name exactly the builder's parameters; with ``seed_x``
+    an X schedule without them takes the analytic amplitude seed.
+    """
+    scheme = cfg.get("scheme", default_scheme)
+    alpha2 = float(cfg.get("alpha2", 2.0))
+    T = float(cfg.get("T", 30.0))
+    pulse_params = cfg.get("pulse_params") or {}
+    if seed_x and not pulse_params and scheme == "X":
+        pulse_params = {"eps_x0": seed_eps_x0(T, KerrCatParams.from_alpha2(alpha2))}
+    build, bounds = make_builder(scheme, alpha2, T, cfg, space)
     if set(pulse_params) != set(bounds):
         raise ConfigError(f"scheme {scheme} needs pulse_params with the keys "
                           f"{sorted(bounds)}, got {sorted(pulse_params)}")
-    return build(**pulse_params)
+    return build(**pulse_params), T
 
 
-def _sweep_point(scheme: str, alpha2: float, T: float, cfg: dict,
-                 space: FockSpace, rl_cache) -> dict:
+def _sweep_point(scheme: str, alpha2: float, T: float, cfg: dict, space: FockSpace) -> dict:
     record = {"scheme": scheme, "alpha2": alpha2, "T": T, "feasible": True}
     try:
-        build, bounds = make_builder(scheme, alpha2, T, cfg, space, rl_cache)
-    except (SchemeInfeasibleError, ConfigError) as exc:
+        build, bounds = make_builder(scheme, alpha2, T, cfg, space)
+    except SchemeInfeasibleError as exc:
         record.update({"feasible": False, "reason": str(exc)})
         return record
     if bounds:
@@ -213,6 +231,24 @@ def _sweep_point(scheme: str, alpha2: float, T: float, cfg: dict,
     return record
 
 
+def _write_robust_line(path: Path, alpha2s, space: FockSpace, meta: dict,
+                       with_gap: bool = False) -> None:
+    """One row per cat size with a robust point; ``with_gap`` adds the gap there."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["alpha2", "delta_rob", *(["gap"] if with_gap else []),
+                         "version", "config_hash"])
+        for a2 in alpha2s:
+            try:
+                d = robust_line(float(a2), space)
+            except (NoRobustPointError, IllConditionedError):
+                continue
+            gap = ([f"{spectrum_at(KerrCatParams.from_alpha2(a2), d, space).gap:.12g}"]
+                   if with_gap else [])
+            writer.writerow([f"{a2:.12g}", f"{d:.12g}", *gap,
+                             meta["version"], meta["config_hash"]])
+
+
 # --- subcommands --------------------------------------------------------------
 
 def cmd_spectrum(cfg: dict, out: Path) -> int:
@@ -222,16 +258,7 @@ def cmd_spectrum(cfg: dict, out: Path) -> int:
     land = gap_landscape(deltas, alpha2s, space)
     out.mkdir(parents=True, exist_ok=True)
     land.to_csv(out / "gap_landscape.csv")
-    meta = _meta(cfg)
-    with open(out / "robust_line.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["alpha2", "delta_rob", "version", "config_hash"])
-        for a2 in alpha2s:
-            try:
-                writer.writerow([f"{a2:.12g}", f"{robust_line(float(a2), space):.12g}",
-                                 meta["version"], meta["config_hash"]])
-            except (NoRobustPointError, IllConditionedError):
-                continue
+    _write_robust_line(out / "robust_line.csv", alpha2s, space, _meta(cfg))
     return 0
 
 
@@ -239,19 +266,7 @@ def cmd_robust_line(cfg: dict, out: Path) -> int:
     space = FockSpace(cfg["fock_dim"])
     alpha2s = cfg.get("alpha2_list", [1.0, 1.5, 2.0, 2.5, 3.0])
     out.mkdir(parents=True, exist_ok=True)
-    meta = _meta(cfg)
-    with open(out / "robust_line.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["alpha2", "delta_rob", "gap", "version", "config_hash"])
-        for a2 in alpha2s:
-            try:
-                d = robust_line(float(a2), space)
-            except (NoRobustPointError, IllConditionedError):
-                continue
-            from .spectral import spectrum_at
-            spec = spectrum_at(KerrCatParams.from_alpha2(a2), d, space)
-            writer.writerow([f"{a2:.12g}", f"{d:.12g}", f"{spec.gap:.12g}",
-                             meta["version"], meta["config_hash"]])
+    _write_robust_line(out / "robust_line.csv", alpha2s, space, _meta(cfg), with_gap=True)
     return 0
 
 
@@ -260,25 +275,19 @@ def cmd_gate_sweep(cfg: dict, out: Path) -> int:
     if scheme is None:
         raise ConfigError("gate-sweep needs a 'scheme' entry")
     space = FockSpace(cfg["fock_dim"])
-    rl_caches: dict[float, RobustLineCache | None] = {}
-    if scheme == "Z_ROBUSTLINE":
-        for a2 in cfg["alpha2_list"]:
-            try:
-                rl_caches[a2] = _robust_line_cache(float(a2), space)
-            except NoRobustPointError:
-                rl_caches[a2] = None
+    meta = _meta(cfg)
 
     def run(a2, T):
         try:
-            return _sweep_point(scheme, float(a2), float(T), cfg, space,
-                                rl_caches.get(a2))
+            return _sweep_point(scheme, float(a2), float(T), cfg, space)
+        except ConfigError:
+            raise
         except Exception as exc:  # per-point failures recorded, sweep continues
             return {"scheme": scheme, "alpha2": a2, "T": T,
                     "feasible": False, "reason": f"{type(exc).__name__}: {exc}"}
 
     records = [run(a2, T) for a2 in cfg["alpha2_list"] for T in cfg["T_list"]]
-    payload = {**_meta(cfg), "config": cfg, "records": records}
-    _write_json(out / "gate_sweep.json", payload)
+    _write_json(out / "gate_sweep.json", {**meta, "config": cfg, "records": records})
     with open(out / "gate_sweep.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["scheme", "alpha2", "T", "avg_infidelity", "feasible",
@@ -286,18 +295,13 @@ def cmd_gate_sweep(cfg: dict, out: Path) -> int:
         for r in records:
             writer.writerow([r["scheme"], r["alpha2"], r["T"],
                              r.get("avg_infidelity", ""), r["feasible"],
-                             __version__, config_hash(cfg)])
+                             meta["version"], meta["config_hash"]])
     return 0
 
 
 def cmd_noise(cfg: dict, out: Path) -> int:
-    scheme = cfg.get("scheme", "Z_STRAIGHT")
-    alpha2 = float(cfg.get("alpha2", 2.0))
-    T = float(cfg.get("T", 30.0))
     space = FockSpace(cfg["fock_dim"])
-    rl_cache = _robust_line_cache(alpha2, space) if scheme == "Z_ROBUSTLINE" else None
-    build, bounds = make_builder(scheme, alpha2, T, cfg, space, rl_cache)
-    sched = _build_schedule(scheme, build, bounds, cfg.get("pulse_params") or {})
+    sched, T = _configured_schedule(cfg, space, "Z_STRAIGHT")
     omegas = default_frequency_grid(T)
     t, _, slope = gap_traces(sched, space)
     deriv = (t, slope)
@@ -319,9 +323,6 @@ def cmd_noise(cfg: dict, out: Path) -> int:
 
 
 def cmd_twoqubit(cfg: dict, out: Path) -> int:
-    from .twoqubit import (TwoQubitEffectiveModel, echo_xx, makhlin_invariants,
-                           phase_optimized_distance, xx_target)
-
     a2a = float(cfg.get("alpha2_A", 2.0))
     a2b = float(cfg.get("alpha2_B", 2.0))
     theta = float(cfg.get("theta", np.pi / 2))
@@ -341,20 +342,12 @@ def cmd_twoqubit(cfg: dict, out: Path) -> int:
 
 
 def cmd_convergence(cfg: dict, out: Path) -> int:
-    scheme = cfg.get("scheme", "X")
-    alpha2 = float(cfg.get("alpha2", 2.0))
-    T = float(cfg.get("T", 30.0))
-    pulse_params = cfg.get("pulse_params") or {}
-    if not pulse_params and scheme == "X":
-        pulse_params = {"eps_x0": seed_eps_x0(T, KerrCatParams.from_alpha2(alpha2))}
     drifts = {}
     for label, dim, steps in (("base", cfg["fock_dim"], cfg["n_steps"]),
                               ("dim2x", 2 * cfg["fock_dim"], cfg["n_steps"]),
                               ("dthalf", cfg["fock_dim"], 2 * cfg["n_steps"])):
         space = FockSpace(dim)
-        rl_cache = _robust_line_cache(alpha2, space) if scheme == "Z_ROBUSTLINE" else None
-        build, bounds = make_builder(scheme, alpha2, T, cfg, space, rl_cache)
-        sched = _build_schedule(scheme, build, bounds, pulse_params)
+        sched, _ = _configured_schedule(cfg, space, "X", seed_x=True)
         grid = average_infidelity(sched, space, delta_max=cfg["delta_max"],
                                   n_nodes=cfg["n_nodes"], n_steps=steps)
         drifts[label] = grid.average
@@ -376,36 +369,20 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default="out", help="output directory")
     parser.add_argument("--seed", type=int)
     parser.add_argument("--fock-dim", type=int, dest="fock_dim")
-    parser.add_argument("command", choices=["spectrum", "gate-sweep", "robust-line",
-                                            "noise", "twoqubit", "convergence"])
+    parser.add_argument("command", choices=COMMANDS)
     args = parser.parse_args(argv)
 
+    # looked up by name at call time, so a wrapped ``cmd_*`` attribute is the one called
+    command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
         cfg = load_config(args.config, {"seed": args.seed, "fock_dim": args.fock_dim})
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
-    out = Path(args.out)
-    try:
-        if args.command == "spectrum":
-            return cmd_spectrum(cfg, out)
-        if args.command == "robust-line":
-            return cmd_robust_line(cfg, out)
-        if args.command == "gate-sweep":
-            return cmd_gate_sweep(cfg, out)
-        if args.command == "noise":
-            return cmd_noise(cfg, out)
-        if args.command == "twoqubit":
-            return cmd_twoqubit(cfg, out)
-        if args.command == "convergence":
-            return cmd_convergence(cfg, out)
+        return command(cfg, Path(args.out))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:
         print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
-    return 0
 
 
 if __name__ == "__main__":

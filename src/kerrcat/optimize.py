@@ -2,9 +2,9 @@
 
 A coarse rectangular scan followed by fixed-factor box shrinking around the
 incumbent. No stochastic moves: rerunning with the same inputs gives the
-same record. Points whose schedule builder raises are scored with
-infidelity 1 so that infeasible corners of the box (for example ramps that
-would drive the cat size negative) never win.
+same record. Points whose schedule builder reports an infeasible schedule
+are scored with infidelity 1 so that infeasible corners of the box (for
+example ramps that would drive the cat size negative) never win.
 """
 
 from __future__ import annotations
@@ -15,12 +15,15 @@ from typing import Callable
 
 import numpy as np
 
+from .cats import TruncationError
 from .fock import FockSpace
 from .fidelity import average_infidelity
 from .pulses import (AdiabaticityLossError, InvalidRampError, PulseSchedule,
                      SchemeInfeasibleError)
 
 INFEASIBLE_SCORE = 1.0
+#: each refinement round's box is this many times smaller than the last
+SHRINK = 5.0
 
 
 @dataclass(frozen=True)
@@ -77,14 +80,13 @@ def grid_search(
     space: ParamSpace,
     coarse_n: int = 21,
     refine_rounds: int = 2,
-    shrink: float = 5.0,
 ) -> OptimizationRecord:
     """Coarse-to-fine lattice minimization of a scalar objective.
 
     ``evaluate`` maps keyword arguments named after ``space.names`` to a
     (score, diagnostic) pair. Ties break toward the earlier lattice point
     (lexicographic parameter order), so identical inputs give identical
-    records. Each refinement round re-centers a box ``shrink`` times smaller
+    records. Each refinement round re-centers a box ``SHRINK`` times smaller
     on the incumbent, clipped to the original bounds.
     """
     lo0 = np.asarray(space.lower, dtype=float)
@@ -106,7 +108,7 @@ def grid_search(
             if best is None or score < best[1]:
                 best = (kwargs, score, worst)
         center = np.array([best[0][n] for n in space.names])
-        span = (hi - lo) / shrink
+        span = (hi - lo) / SHRINK
         lo = np.clip(center - span / 2, lo0, hi0)
         hi = np.clip(center + span / 2, lo0, hi0)
 
@@ -182,7 +184,6 @@ def grid_optimize(
     fock_space: FockSpace,
     coarse_n: int = 21,
     refine_rounds: int = 2,
-    shrink: float = 5.0,
     delta_max: float = 5e-3,
     n_nodes: int = 11,
     n_steps: int = 500,
@@ -190,7 +191,9 @@ def grid_optimize(
     """Minimize detuning-averaged infidelity over a parameter box.
 
     ``builder`` maps keyword arguments named after ``space.names`` to a
-    :class:`PulseSchedule`. Infeasible builder arguments score 1.
+    :class:`PulseSchedule`. Infeasible builder arguments score 1: the builder
+    raises SchemeInfeasibleError, InvalidRampError, AdiabaticityLossError or
+    TruncationError (a cat the Fock space cannot hold). Any other error propagates.
     """
 
     def evaluate(**kwargs):
@@ -198,9 +201,9 @@ def grid_optimize(
             sched = builder(**kwargs)
             grid = average_infidelity(sched, fock_space, delta_max=delta_max,
                                       n_nodes=n_nodes, n_steps=n_steps)
-        except (SchemeInfeasibleError, InvalidRampError, AdiabaticityLossError, ValueError):
+        except (SchemeInfeasibleError, InvalidRampError, AdiabaticityLossError,
+                TruncationError):
             return INFEASIBLE_SCORE, INFEASIBLE_SCORE
         return grid.average, grid.worst
 
-    return grid_search(evaluate, space, coarse_n=coarse_n,
-                       refine_rounds=refine_rounds, shrink=shrink)
+    return grid_search(evaluate, space, coarse_n=coarse_n, refine_rounds=refine_rounds)

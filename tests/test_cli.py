@@ -32,14 +32,15 @@ def test_load_config_errors(tmp_path):
     bad.write_text("{not json")
     with pytest.raises(ConfigError):
         load_config(str(bad), {})
-    neg = tmp_path / "neg.json"
-    neg.write_text(json.dumps({"delta_max": -1.0}))
-    with pytest.raises(ConfigError):
-        load_config(str(neg), {})
-    empty = tmp_path / "empty.json"
-    empty.write_text(json.dumps({"alpha2_list": []}))
-    with pytest.raises(ConfigError):
-        load_config(str(empty), {})
+    for i, entries in enumerate([{"delta_max": -1.0}, {"alpha2_list": []},
+                                 {"n_nodes": 4}, {"n_nodes": 1}, {"n_steps": 0},
+                                 {"fock_dim": 1}]):
+        path = tmp_path / f"invalid{i}.json"
+        path.write_text(json.dumps(entries))
+        with pytest.raises(ConfigError, match=next(iter(entries))):
+            load_config(str(path), {})
+    with pytest.raises(ConfigError, match="fock_dim"):
+        load_config(None, {"fock_dim": 1})
 
 
 def test_config_hash_deterministic():
@@ -53,6 +54,16 @@ def test_config_hash_deterministic():
 def test_exit_code_config_error(capsys):
     assert main(["--config", "missing.json", "spectrum"]) == 1
     assert "config error" in capsys.readouterr().err
+
+
+def test_gate_sweep_unknown_scheme_is_config_error(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"scheme": "Q", "alpha2_list": [2.0], "T_list": [15.0],
+                               "fock_dim": 14}))
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg), "--out", str(out), "gate-sweep"]) == 1
+    assert "unknown scheme 'Q'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_robust_line_command(tmp_path):
@@ -77,18 +88,39 @@ def test_spectrum_command(tmp_path):
     assert len(land) == 1 + 6 * 5
 
 
-def test_twoqubit_command_byte_identical(tmp_path):
+RERUN_CASES = [
+    ("spectrum", {"fock_dim": 16, "n_delta": 3, "n_alpha2": 4}),
+    ("robust-line", {"fock_dim": 16, "alpha2_list": [1.5, 2.0]}),
+    # at dim 8 the robust-line table cannot be built, so every point is infeasible
+    ("gate-sweep", {"scheme": "Z_ROBUSTLINE", "alpha2_list": [2.0], "T_list": [25.0],
+                    "fock_dim": 8}),
+    ("noise", {"scheme": "Z_STRAIGHT", "fock_dim": 12, "monte_carlo": True, "n_traces": 2,
+               "pulse_params": {"delta_max": 0.4, "eps2_ramp0": -0.5}}),
+    ("twoqubit", {"alpha2_A": 2.0, "alpha2_B": 1.5, "T": 15.0}),
+    ("convergence", {"scheme": "X", "alpha2": 2.0, "T": 15.0, "fock_dim": 8,
+                     "n_steps": 40, "n_nodes": 3}),
+]
+
+
+@pytest.mark.parametrize("command, config", RERUN_CASES, ids=[c for c, _ in RERUN_CASES])
+def test_command_reruns_byte_identical(tmp_path, command, config):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"alpha2_A": 2.0, "alpha2_B": 1.5, "T": 15.0}))
+    cfg.write_text(json.dumps(config))
     out1, out2 = tmp_path / "o1", tmp_path / "o2"
-    assert main(["--config", str(cfg), "--out", str(out1), "twoqubit"]) == 0
-    assert main(["--config", str(cfg), "--out", str(out2), "twoqubit"]) == 0
-    b1 = (out1 / "twoqubit_report.json").read_bytes()
-    b2 = (out2 / "twoqubit_report.json").read_bytes()
-    assert b1 == b2
-    report = json.loads(b1)
-    assert report["echo_distance"] < 1e-10
-    assert "config_hash" in report
+    assert main(["--config", str(cfg), "--out", str(out1), command]) == 0
+    assert main(["--config", str(cfg), "--out", str(out2), command]) == 0
+    files = sorted(p.relative_to(out1) for p in out1.rglob("*") if p.is_file())
+    assert files
+    assert files == sorted(p.relative_to(out2) for p in out2.rglob("*") if p.is_file())
+    for name in files:
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+    if command == "twoqubit":
+        report = json.loads((out1 / "twoqubit_report.json").read_bytes())
+        assert report["echo_distance"] < 1e-10
+        assert "config_hash" in report
+    if command == "gate-sweep":
+        records = json.loads((out1 / "gate_sweep.json").read_bytes())["records"]
+        assert [r["reason"] for r in records] == ["no robust-line cache for this cat size"]
 
 
 def test_convergence_command(tmp_path):

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
+from kerrcat.cats import TruncationError
 from kerrcat.fock import FockSpace, KerrCatParams
 from kerrcat.optimize import (INFEASIBLE_SCORE, OptimizationRecord, ParamSpace,
                               grid_optimize, grid_search)
-from kerrcat.pulses import AdiabaticityLossError, scheme_y_drag
+from kerrcat.pulses import AdiabaticityLossError, InvalidRampError, scheme_x, scheme_y_drag
 
 
 def quad_objective(x, y):
@@ -111,3 +112,27 @@ def test_grid_optimize_scores_lost_subspace_as_infeasible():
     assert scores[10.0] == INFEASIBLE_SCORE
     assert scores[1.0] < INFEASIBLE_SCORE
     assert rec.best_params["eps_y0"] == 1.0
+
+
+@pytest.mark.parametrize("infeasible", [InvalidRampError, TruncationError])
+def test_grid_optimize_propagates_faults_other_than_infeasibility(infeasible):
+    p = KerrCatParams.from_alpha2(2.0)
+    space = FockSpace(12)
+    ps = ParamSpace.from_dict({"eps_x0": (0.1, 0.2)})
+
+    def faulty(eps_x0):
+        raise ValueError("not an infeasible schedule")
+
+    with pytest.raises(ValueError, match="not an infeasible schedule"):
+        grid_optimize(faulty, ps, space, coarse_n=2, refine_rounds=0, n_nodes=3, n_steps=20)
+
+    def partly_infeasible(eps_x0):
+        if eps_x0 > 0.15:
+            raise infeasible("no schedule here")
+        return scheme_x(10.0, eps_x0, p, n_samples=21)
+
+    rec = grid_optimize(partly_infeasible, ps, space, coarse_n=2, refine_rounds=0, n_nodes=3,
+                        n_steps=20)
+    scores = {h["eps_x0"]: h["score"] for h in rec.history}
+    assert scores[0.2] == INFEASIBLE_SCORE
+    assert scores[0.1] < INFEASIBLE_SCORE
