@@ -30,8 +30,8 @@ import numpy as np
 from . import __version__
 from .fidelity import average_infidelity
 from .fock import FockSpace, KerrCatParams
-from .noise import (NoiseModel, default_frequency_grid, filter_weight, monte_carlo_infidelity,
-                    spectral_average_infidelity)
+from .noise import (InvalidNoiseModelError, NoiseModel, default_frequency_grid, filter_weight,
+                    monte_carlo_infidelity)
 from .optimize import ParamSpace, grid_optimize
 from .pulses import (PulseSchedule, SchemeInfeasibleError, gap_traces, scheme_kerr_gate,
                      scheme_x, scheme_xx_envelope, scheme_y_drag, scheme_z_robustline,
@@ -110,8 +110,9 @@ def load_config(spec: str | None, overrides: dict) -> dict:
     cfg.update({k: v for k, v in overrides.items() if v is not None})
     if cfg["delta_max"] <= 0:
         raise ConfigError("delta_max must be positive")
-    for key, low in (("fock_dim", 2), ("n_steps", 1), ("n_nodes", 3)):
-        if not isinstance(cfg[key], int) or cfg[key] < low:
+    # n_traces is checked only when given: a default would change every config hash
+    for key, low in (("fock_dim", 2), ("n_steps", 1), ("n_nodes", 3), ("n_traces", 1)):
+        if key in cfg and (not isinstance(cfg[key], int) or cfg[key] < low):
             raise ConfigError(f"{key} must be an integer >= {low}, got {cfg[key]!r}")
     if cfg["n_nodes"] % 2 == 0:
         raise ConfigError(f"n_nodes must be odd, got {cfg['n_nodes']}")
@@ -311,13 +312,14 @@ def cmd_noise(cfg: dict, out: Path) -> int:
     noise_cfg = cfg.get("noise", {"kind": "ornstein-uhlenbeck",
                                   "parameters": {"sigma": 1e-3, "tau_c": 10 * T},
                                   "seed": cfg["seed"]})
-    model = NoiseModel(**noise_cfg)
-    result = {**_meta(cfg),
-              "spectral_infidelity": spectral_average_infidelity(
-                  sched, model, omegas, space, deriv_trace=deriv)}
+    try:
+        model = NoiseModel(**noise_cfg)
+    except InvalidNoiseModelError as exc:
+        raise ConfigError(f"noise: {exc}") from exc
+    result = {**_meta(cfg), "spectral_infidelity": ff.spectral_infidelity(model)}
     if cfg.get("monte_carlo", False):
         result["monte_carlo_infidelity"] = monte_carlo_infidelity(
-            sched, model, space, n_traces=int(cfg.get("n_traces", 100)))
+            sched, model, space, n_traces=cfg.get("n_traces", 100))
     _write_json(out / "noise_report.json", result)
     return 0
 

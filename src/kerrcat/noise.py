@@ -55,6 +55,13 @@ class NoiseModel:
     def __post_init__(self):
         if self.kind not in NOISE_KINDS:
             raise InvalidNoiseModelError(f"unknown noise kind {self.kind!r}")
+        if self.kind == "static" and "value" not in self.parameters:
+            raise InvalidNoiseModelError("static noise needs a 'value'")
+        if self.kind in ("gaussian-quasistatic", "ornstein-uhlenbeck"):
+            if "sigma" not in self.parameters:
+                raise InvalidNoiseModelError(f"{self.kind} noise needs a 'sigma'")
+            if self.parameters["sigma"] < 0:
+                raise InvalidNoiseModelError(f"{self.kind} noise needs sigma >= 0")
         if self.kind == "ornstein-uhlenbeck":
             if self.parameters.get("tau_c", 0.0) <= 0:
                 raise InvalidNoiseModelError("OU noise needs tau_c > 0")
@@ -184,6 +191,26 @@ class FilterFunction:
             for o, w in zip(self.omegas, self.W):
                 writer.writerow([f"{o:.12g}", f"{w:.12g}"])
 
+    def spectral_infidelity(self, noise: NoiseModel) -> float:
+        """PSD-convolution estimate int domega/2pi S(omega) W(omega) on this grid.
+
+        Delta-peaked kinds (static, quasistatic) reduce to variance times W(0).
+        W is even, so the integral runs over omega >= 0 with weight 1/pi.
+        """
+        if noise.kind in ("static", "gaussian-quasistatic"):
+            return noise.variance() * self.at_zero()
+        S = noise.psd(self.omegas)
+        order = np.argsort(self.omegas)
+        om, integrand = self.omegas[order], (S * self.W)[order]
+        total = np.trapezoid(integrand, om) / np.pi
+        # crude coverage check: the top decade of the grid should carry < 1% of the mass
+        if total > 0:
+            tail = om >= om[-1] / 10.0
+            tail_mass = np.trapezoid(integrand[tail], om[tail]) / np.pi
+            if tail_mass > 0.01 * total:
+                warnings.warn("frequency grid may truncate spectral weight", CoverageWarning)
+        return float(total)
+
 
 def filter_weight(
     schedule: PulseSchedule,
@@ -218,26 +245,13 @@ def spectral_average_infidelity(
 ) -> float:
     """PSD-convolution estimate int domega/2pi S(omega) W(omega).
 
-    Delta-peaked kinds (static, quasistatic) reduce to variance times W(0).
-    W is even, so the integral runs over omega >= 0 with weight 1/pi.
+    The :func:`filter_weight` of ``schedule`` on ``omegas`` (default
+    :func:`default_frequency_grid`), then :meth:`FilterFunction.spectral_infidelity`.
     """
     if omegas is None:
         omegas = default_frequency_grid(schedule.duration)
-    omegas = np.asarray(omegas, dtype=float)
     ff = filter_weight(schedule, omegas, space, deriv_trace=deriv_trace)
-    if noise.kind in ("static", "gaussian-quasistatic"):
-        return noise.variance() * ff.at_zero()
-    S = noise.psd(omegas)
-    order = np.argsort(omegas)
-    om, integrand = omegas[order], (S * ff.W)[order]
-    total = np.trapezoid(integrand, om) / np.pi
-    # crude coverage check: the top decade of the grid should carry < 1% of the mass
-    if total > 0:
-        tail = om >= om[-1] / 10.0
-        tail_mass = np.trapezoid(integrand[tail], om[tail]) / np.pi
-        if tail_mass > 0.01 * total:
-            warnings.warn("frequency grid may truncate spectral weight", CoverageWarning)
-    return float(total)
+    return ff.spectral_infidelity(noise)
 
 
 def monte_carlo_infidelity(
@@ -247,15 +261,19 @@ def monte_carlo_infidelity(
     n_traces: int = 100,
     n_steps: int = 1000,
 ) -> float:
-    """Ensemble-average infidelity from full propagation with sampled traces."""
-    from .fidelity import computational_pair, infidelity
-    from .propagation import propagate_noise_trace
+    """Ensemble-average infidelity from full propagation with sampled traces.
 
+    All traces are propagated in one :func:`propagate_many` call.
+    """
+    from .fidelity import computational_pair, infidelity
+    from .propagation import propagate_many
+
+    if n_traces < 1:
+        raise ValueError(f"n_traces must be >= 1, got {n_traces}")
     dt = schedule.duration / n_steps
     traces = sample_noise(noise, schedule.duration, dt, n_traces=n_traces)
     psi0, psi1 = computational_pair(schedule.base, space)
     total = 0.0
-    for tr in traces:
-        res = propagate_noise_trace(schedule, space, tr, n_steps=n_steps)
+    for res in propagate_many(schedule, space, traces, n_steps=n_steps):
         total += infidelity(res.unitary, schedule.target, psi0, psi1, schedule.frame_rotation)
     return total / n_traces

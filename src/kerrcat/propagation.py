@@ -3,7 +3,9 @@
 Second-order midpoint-exponential stepping: the Hamiltonian is sampled at
 the midpoint of each interval and exponentiated exactly via its
 eigendecomposition. One kernel stacks the steps of every detuning row and
-calls the batched eigh, which is where nearly all the runtime goes. It
+calls the batched eigh, which is where nearly all the runtime goes; the
+stacks are taken in time-ordered pieces of bounded size, so memory does not
+grow with rows x steps and the result does not depend on the piece size. It
 picks the cheapest exact path from the operators that enter H with
 non-zero values:
 
@@ -105,6 +107,29 @@ def _mirror_signs(drift, ops, values):
     return None
 
 
+#: matrix entries (rows x steps x b^2) of one piece of a block's step stack: 2 MiB complex
+STACK_ENTRIES = 2**17
+
+
+def _block_steps(drift, ops, values, block, real, dt):
+    """The ``block``'s step exponentials exp(-i H_k dt), each (rows, b, b), in time order.
+
+    They are exponentiated in time-ordered pieces of at most
+    :data:`STACK_ENTRIES` matrix entries, the smallest piece being one step
+    of every row, so the stack held at once stays bounded however many rows
+    and steps there are. Each step's exponential does not depend on the
+    piece it is taken in.
+    """
+    rows, n_steps, _ = values.shape
+    b = len(range(drift.shape[0])[block])
+    piece = max(1, STACK_ENTRIES // (rows * b * b))
+    for start in range(0, n_steps, piece):
+        steps = _step_exponentials(
+            block_hamiltonians(drift, ops, values[:, start:start + piece], block, real), dt)
+        for k in range(steps.shape[1]):
+            yield steps[:, k]
+
+
 def _propagate_steps(drift, ops, values, dt) -> np.ndarray:
     """Time-ordered products of the midpoint step exponentials exp(-i H_k dt).
 
@@ -129,14 +154,14 @@ def _propagate_steps(drift, ops, values, dt) -> np.ndarray:
         values = values[:, :(n_steps + 1) // 2]
     U = np.zeros((batch, d, d), dtype=complex)
     for block in blocks:
-        steps = _step_exponentials(block_hamiltonians(drift, ops, values, block, real), dt)
-        prod = steps[:, 0]
-        for k in range(1, n_steps if s is None else n_steps // 2):
-            prod = steps[:, k] @ prod
+        steps = _block_steps(drift, ops, values, block, real, dt)
+        prod = next(steps)
+        for _ in range(1, n_steps if s is None else n_steps // 2):
+            prod = next(steps) @ prod
         if s is not None:
             mirror = np.outer(s[block], s[block]) * np.swapaxes(prod, -1, -2)
             if n_steps % 2:
-                prod = steps[:, -1] @ prod
+                prod = next(steps) @ prod
             prod = mirror @ prod
         U[:, block, block] = prod
     return U
@@ -163,9 +188,19 @@ def propagate_many(
     delta_offsets,
     n_steps: int = 2000,
 ) -> list[PropagationResult]:
-    """Propagate one schedule for several static detuning offsets at once."""
-    delta_offsets = np.atleast_1d(np.asarray(delta_offsets, dtype=float))
-    rows = np.broadcast_to(delta_offsets[:, None], (len(delta_offsets), n_steps))
+    """Propagate one schedule for several detuning offsets at once.
+
+    ``delta_offsets`` is 1-D, one static offset per propagator, or 2-D of
+    shape (rows, n_steps), one offset per propagator and step midpoint (a
+    sampled noise trace per row). Every row goes through one kernel call.
+    """
+    rows = np.asarray(delta_offsets, dtype=float)
+    if rows.ndim <= 1:
+        rows = np.atleast_1d(rows)
+        rows = np.broadcast_to(rows[:, None], (len(rows), n_steps))
+    if rows.ndim != 2 or rows.shape[1] != n_steps:
+        raise ValueError(f"delta_offsets must be 1-D or of shape (rows, {n_steps}), "
+                         f"got shape {rows.shape}")
     U = _propagate_schedule(schedule, space, n_steps, rows)
     return [_result(Uf, n_steps) for Uf in U]
 
@@ -189,13 +224,12 @@ def propagate_noise_trace(
     """Propagate with a time-dependent detuning offset sampled per step.
 
     ``delta_trace`` holds the offset at each midpoint and must have length
-    ``n_steps``.
+    ``n_steps``; a single-row wrapper around :func:`propagate_many`.
     """
     delta_trace = np.asarray(delta_trace, dtype=float)
     if len(delta_trace) != n_steps:
         raise ValueError(f"delta_trace length {len(delta_trace)} != n_steps {n_steps}")
-    U = _propagate_schedule(schedule, space, n_steps, delta_trace[None, :])[0]
-    return _result(U, n_steps)
+    return propagate_many(schedule, space, delta_trace[None], n_steps)[0]
 
 
 def adiabaticity_diagnostic(

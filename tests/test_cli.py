@@ -1,7 +1,9 @@
 import json
+from unittest import mock
 
 import pytest
 
+from kerrcat import cli, noise
 from kerrcat.cli import (ConfigError, DEFAULTS, PRESETS, config_hash,
                          load_config, main)
 
@@ -34,13 +36,53 @@ def test_load_config_errors(tmp_path):
         load_config(str(bad), {})
     for i, entries in enumerate([{"delta_max": -1.0}, {"alpha2_list": []},
                                  {"n_nodes": 4}, {"n_nodes": 1}, {"n_steps": 0},
-                                 {"fock_dim": 1}]):
+                                 {"fock_dim": 1}, {"n_traces": 0}, {"n_traces": 2.5}]):
         path = tmp_path / f"invalid{i}.json"
         path.write_text(json.dumps(entries))
         with pytest.raises(ConfigError, match=next(iter(entries))):
             load_config(str(path), {})
     with pytest.raises(ConfigError, match="fock_dim"):
         load_config(None, {"fock_dim": 1})
+
+
+def test_n_traces_is_no_default():
+    # a default would enter every command's config hash
+    assert "n_traces" not in load_config(None, {})
+    assert load_config(None, {"n_traces": 3})["n_traces"] == 3
+
+
+NOISE_CONFIG = {"scheme": "Z_STRAIGHT", "fock_dim": 12,
+                "pulse_params": {"delta_max": 0.4, "eps2_ramp0": -0.5}}
+
+
+@pytest.mark.parametrize("entries, message", [
+    ({"monte_carlo": True, "n_traces": 0}, "n_traces"),
+    ({"noise": {"kind": "ornstein-uhlenbeck", "parameters": {"tau_c": 10.0}}}, "sigma"),
+    ({"noise": {"kind": "gaussian-quasistatic", "parameters": {"sigma": -1e-3}}}, "sigma"),
+    ({"noise": {"kind": "static", "parameters": {}}}, "value"),
+])
+def test_noise_config_faults_exit_1(tmp_path, capsys, entries, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**NOISE_CONFIG, **entries}))
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "out"), "noise"]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and message in err
+
+
+def test_noise_command_computes_filter_weight_once(tmp_path):
+    calls = []
+    filter_weight = noise.filter_weight
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return filter_weight(*args, **kwargs)
+
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(NOISE_CONFIG))
+    with mock.patch.object(cli, "filter_weight", counted), \
+            mock.patch.object(noise, "filter_weight", counted):
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "out"), "noise"]) == 0
+    assert len(calls) == 1
 
 
 def test_config_hash_deterministic():

@@ -1,17 +1,19 @@
 import dataclasses
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from kerrcat import propagation
 from kerrcat.fock import FockSpace, KerrCatParams
 from kerrcat.noise import (CoverageWarning, FilterFunction, InvalidNoiseModelError,
                            NoiseModel, angle_error_functional,
                            default_frequency_grid, filter_weight,
                            monte_carlo_infidelity, sample_noise,
                            spectral_average_infidelity)
-from kerrcat.propagation import propagate
+from kerrcat.propagation import propagate, propagate_noise_trace
 from kerrcat.fidelity import computational_pair, infidelity
-from kerrcat.pulses import gap_traces, idle_schedule, scheme_z_robustline
+from kerrcat.pulses import gap_traces, idle_schedule, scheme_z_robustline, scheme_z_straight
 from kerrcat.spectral import RobustLineCache
 
 SPACE = FockSpace(25)
@@ -211,3 +213,55 @@ def test_monte_carlo_static_matches_direct():
     psi0, psi1 = computational_pair(p, space)
     direct = infidelity(res.unitary, sched.target, psi0, psi1, sched.frame_rotation)
     assert mc == pytest.approx(direct, rel=1e-6, abs=1e-14)
+
+
+def test_monte_carlo_is_one_kernel_call_equal_to_per_trace_mean():
+    p = KerrCatParams.from_alpha2(2.0)
+    space = FockSpace(20)
+    sched = scheme_z_straight(20.0, 0.4, -0.5, p, n_samples=201)
+    noise = NoiseModel("ornstein-uhlenbeck", {"sigma": 1e-2, "tau_c": 30.0}, seed=5)
+    n_traces, n_steps = 5, 400
+    kernel = propagation._propagate_steps
+    with mock.patch.object(propagation, "_propagate_steps", side_effect=kernel) as spy:
+        mc = monte_carlo_infidelity(sched, noise, space, n_traces=n_traces, n_steps=n_steps)
+    assert spy.call_count == 1
+    assert spy.call_args.args[2].shape[:2] == (n_traces, n_steps)
+    psi0, psi1 = computational_pair(p, space)
+    total = 0.0
+    for tr in sample_noise(noise, sched.duration, sched.duration / n_steps, n_traces):
+        res = propagate_noise_trace(sched, space, tr, n_steps=n_steps)
+        total += infidelity(res.unitary, sched.target, psi0, psi1, sched.frame_rotation)
+    assert mc == total / n_traces
+
+
+@pytest.mark.parametrize("n_traces", [0, -3])
+def test_monte_carlo_needs_a_trace(n_traces):
+    sched = idle_schedule(5.0, KerrCatParams.from_alpha2(1.0), n_samples=21)
+    noise = NoiseModel("static", {"value": 1e-3})
+    with pytest.raises(ValueError, match="n_traces"):
+        monte_carlo_infidelity(sched, noise, FockSpace(10), n_traces=n_traces, n_steps=20)
+
+
+@pytest.mark.parametrize("kind, parameters", [
+    ("ornstein-uhlenbeck", {"tau_c": 10.0}),
+    ("gaussian-quasistatic", {}),
+    ("static", {"sigma": 1e-3}),
+    ("ornstein-uhlenbeck", {"sigma": -1e-3, "tau_c": 10.0}),
+    ("gaussian-quasistatic", {"sigma": -1e-3}),
+])
+def test_model_rejects_missing_or_negative_parameters(kind, parameters):
+    with pytest.raises(InvalidNoiseModelError):
+        NoiseModel(kind, parameters)
+
+
+def test_spectral_infidelity_is_the_filter_weights_estimate():
+    p = KerrCatParams(kerr=1.0, eps2_0=2.0, delta=0.3)
+    sched = idle_schedule(6.0, p, n_samples=201)
+    dtr = gap_traces(sched, SPACE, n_samples=201)
+    dtr = (dtr[0], dtr[2])
+    om = default_frequency_grid(sched.duration)
+    ff = filter_weight(sched, om, SPACE, deriv_trace=dtr)
+    for noise in (NoiseModel("ornstein-uhlenbeck", {"sigma": 1e-3, "tau_c": 60.0}),
+                  NoiseModel("gaussian-quasistatic", {"sigma": 1e-3})):
+        assert ff.spectral_infidelity(noise) == spectral_average_infidelity(
+            sched, noise, space=SPACE, deriv_trace=dtr)

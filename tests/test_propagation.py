@@ -366,3 +366,61 @@ def test_kerr_gate_zero_detuning_exact():
     res = propagate(s, SPACE, n_steps=400)
     psi0, psi1 = computational_pair(p, SPACE)
     assert infidelity(res.unitary, s.target, psi0, psi1, s.frame_rotation) < 1e-3
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from([("structure", k) for k in sorted(STRUCTURE_CLASSES)]
+                            + [("mirror", k) for k in sorted(MIRROR_CLASSES)]),
+       dim=st.integers(2, 10), half=st.integers(1, 15), odd=st.booleans(),
+       batch=st.integers(1, 3), seed=st.integers(0, 2**32 - 1), budget=st.integers(1, 400))
+def test_pieced_kernel_equals_unpieced(kind, dim, half, odd, batch, seed, budget):
+    # pieces of at most ``budget`` entries (at least one step of every row)
+    # give the same propagators bit for bit, folded or not
+    family, name = kind
+    make = _random_channels if family == "structure" else _mirrored_channels
+    asm, ops, values = make(name, dim, 2 * half + odd, batch, seed)
+    whole = _propagate_steps(asm.drift, ops, values, 0.1)
+    with mock.patch.object(propagation, "STACK_ENTRIES", budget), recorded_eigh() as seen:
+        pieced = _propagate_steps(asm.drift, ops, values, 0.1)
+    assert np.array_equal(pieced, whole)
+    assert all(np.prod(shape) <= budget or shape[1] == 1 for _, shape in seen)
+
+
+@pytest.mark.parametrize("kind, dim, batch, budget", [
+    ("parity", 30, 3, None),
+    ("real", 16, 2, None),
+    ("general", 16, 2, None),
+    # one step of every row is over the budget: pieces of one step each
+    ("parity", 12, 2, 50),
+])
+def test_step_stacks_bounded_on_long_tables(kind, dim, batch, budget):
+    asm, ops, values = _random_channels(kind, dim, 600, batch, seed=8)
+    limit = propagation.STACK_ENTRIES if budget is None else budget
+    with mock.patch.object(propagation, "STACK_ENTRIES", limit), recorded_eigh() as seen:
+        _propagate_steps(asm.drift, ops, values, 0.01)
+    blocks = 2 if kind == "parity" else 1
+    assert len(seen) > blocks  # the stacks were split
+    assert sum(shape[1] for _, shape in seen) == blocks * 600
+    for _, shape in seen:
+        assert np.prod(shape) <= limit or shape[1] == 1
+        assert shape[0] == batch
+
+
+def test_propagate_many_noise_rows_equal_single_traces():
+    # rows of 2-D offsets are pieced differently from a single row, and the
+    # parity (straight-line Z) and real (X) paths both give the same bits
+    p = KerrCatParams.from_alpha2(2.0)
+    n_steps = 700
+    noise = NoiseModel("ornstein-uhlenbeck", {"sigma": 1e-2, "tau_c": 30.0}, seed=2)
+    for s in (scheme_z_straight(20.0, 0.4, -0.5, p, n_samples=201),
+              scheme_x(20.0, 0.05, p, n_samples=201)):
+        traces = sample_noise(noise, s.duration, s.duration / n_steps, n_traces=3)
+        many = propagate_many(s, SPACE, traces, n_steps=n_steps)
+        for trace, res in zip(traces, many):
+            single = propagate_noise_trace(s, SPACE, trace, n_steps=n_steps)
+            assert np.array_equal(res.unitary, single.unitary)
+            assert res.unitarity_defect == single.unitarity_defect
+            assert res.step_count == n_steps
+    for wrong in (traces[:, :-1], traces[None]):
+        with pytest.raises(ValueError, match="delta_offsets"):
+            propagate_many(s, SPACE, wrong, n_steps=n_steps)
