@@ -1,13 +1,15 @@
 """Time-ordered propagation of pulse schedules.
 
 Second-order midpoint-exponential stepping: the Hamiltonian is sampled at
-the midpoint of each interval and exponentiated exactly via its
-eigendecomposition. One kernel stacks the steps of every detuning row and
-calls the batched eigh, which is where nearly all the runtime goes; the
-stacks are taken in time-ordered pieces of bounded size, so memory does not
-grow with rows x steps and the result does not depend on the piece size. It
-picks the cheapest exact path from the operators that enter H with
-non-zero values:
+the midpoint of each interval and its exact step exp(-i H dt) is applied
+to the running product from the eigendecomposition H = V diag(w) V^H, as
+U <- V (e^{-i w dt} * (V^H U)), without forming the exponential (two real
+products per step when V is real). One kernel stacks the steps of every
+detuning row and calls the batched eigh, which is where nearly all the
+runtime goes; the stacks are taken in time-ordered pieces of bounded size,
+so memory does not grow with rows x steps and the result does not depend
+on the piece size. It picks the cheapest exact path from the operators
+that enter H with non-zero values:
 
 * parity blocks -- every operator is real and has no even<->odd Fock
   entries (drift, ``delta``, ``eps2_mod``): two real-symmetric eigh stacks
@@ -26,8 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import (FockSpace, block_hamiltonians, is_real, keeps_parity, parity_blocks,
-                   present_channels)
+from .fock import (FockSpace, InvalidInputError, block_hamiltonians, is_real, keeps_parity,
+                   parity_blocks, present_channels)
 from .pulses import PulseSchedule
 from .spectral import _comp_columns, _parity_spectra
 
@@ -47,34 +49,35 @@ class PropagationResult:
         return float(1.0 - s.min() ** 2)
 
 
-def _step_exponentials(H: np.ndarray, dt: float) -> np.ndarray:
-    """exp(-i H dt) for a Hermitian matrix or stack of them, as complex.
+def _step_eigenpairs(H: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
+    """(phases, V) with exp(-i H dt) = V diag(phases) V^H, for a Hermitian matrix or stack.
 
-    A real ``H`` takes the real-symmetric eigensolver, and the real and
-    imaginary parts V cos(w dt) V^T and -V sin(w dt) V^T are built from real
-    products straight into the complex result.
+    The phases e^{-i w dt} have shape (..., b) and V has shape (..., b, b);
+    a real ``H`` takes the real-symmetric eigensolver and keeps V real.
     """
     w, V = np.linalg.eigh(H)
-    del H  # callers pass a temporary stack; free it before the products
+    return np.exp(-1j * (w * dt)), V
+
+
+def _apply_step(step, U: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """Apply ``step = (phases, V)`` to ``U`` in place: U <- V (phases * (V^H U)).
+
+    ``U`` is a C-contiguous complex matrix or stack of shape (..., b, b),
+    and ``work`` a buffer like it for the middle product, so a loop of
+    steps allocates nothing. A real V takes two real products on U's float
+    view (..., b, 2b), with no complex copy of V; a complex V takes two
+    complex products. exp(-i H dt) itself is never formed.
+    """
+    phases, V = step
     if np.isrealobj(V):
-        Vt = np.swapaxes(V, -1, -2)
-        out = np.empty(V.shape, dtype=complex)
-        scaled = V * np.cos(w * dt)[..., None, :]
-        part = scaled @ Vt
-        out.real = part
-        np.multiply(V, -np.sin(w * dt)[..., None, :], out=scaled)
-        np.matmul(scaled, Vt, out=part)
-        out.imag = part
-        return out
-    scaled = V * np.exp(-1j * w * dt)[..., None, :]
-    np.conj(V, out=V)
-    # the products overwrite ``scaled`` a few matrices at a time, so no third
-    # full-size complex stack is live; each matrix's product is unchanged
-    flat = scaled.reshape(-1, *V.shape[-2:])
-    flat_vt = np.swapaxes(V, -1, -2).reshape(flat.shape)
-    for i in range(0, len(flat), 64):
-        np.matmul(flat[i:i + 64], flat_vt[i:i + 64], out=flat[i:i + 64])
-    return scaled
+        np.matmul(np.swapaxes(V, -1, -2), U.view(float), out=work.view(float))
+        work *= phases[..., :, None]
+        np.matmul(V, work.view(float), out=U.view(float))
+    else:
+        np.matmul(np.swapaxes(V, -1, -2).conj(), U, out=work)
+        work *= phases[..., :, None]
+        np.matmul(V, work, out=U)
+    return U
 
 
 def _mirror_signs(drift, ops, values):
@@ -107,37 +110,42 @@ def _mirror_signs(drift, ops, values):
     return None
 
 
-#: matrix entries (rows x steps x b^2) of one piece of a block's step stack: 2 MiB complex
+#: matrix entries (rows x steps x b^2) of one piece of a block's step stack:
+#: 1 MiB real on the parity and real paths, 2 MiB complex on the general path
 STACK_ENTRIES = 2**17
 
 
 def _block_steps(drift, ops, values, block, real, dt):
-    """The ``block``'s step exponentials exp(-i H_k dt), each (rows, b, b), in time order.
+    """The ``block``'s step eigenpairs (phases, V) in time order (see :func:`_step_eigenpairs`).
 
-    They are exponentiated in time-ordered pieces of at most
+    Each step's phases have shape (rows, b) and its V shape (rows, b, b).
+    The steps are diagonalized in time-ordered pieces of at most
     :data:`STACK_ENTRIES` matrix entries, the smallest piece being one step
     of every row, so the stack held at once stays bounded however many rows
-    and steps there are. Each step's exponential does not depend on the
-    piece it is taken in.
+    and steps there are. Each step's eigenpairs do not depend on the piece
+    they are taken in.
     """
     rows, n_steps, _ = values.shape
     b = len(range(drift.shape[0])[block])
     piece = max(1, STACK_ENTRIES // (rows * b * b))
     for start in range(0, n_steps, piece):
-        steps = _step_exponentials(
+        phases, V = _step_eigenpairs(
             block_hamiltonians(drift, ops, values[:, start:start + piece], block, real), dt)
-        for k in range(steps.shape[1]):
-            yield steps[:, k]
+        for k in range(V.shape[1]):
+            yield phases[:, k], V[:, k]
+        del phases, V  # free this piece before the next one is diagonalized
 
 
 def _propagate_steps(drift, ops, values, dt) -> np.ndarray:
-    """Time-ordered products of the midpoint step exponentials exp(-i H_k dt).
+    """Time-ordered products of the midpoint steps exp(-i H_k dt).
 
     ``H_k = drift + sum_j values[b, k, j] ops[j]`` for ``values`` of shape
-    (batch, n_steps, len(ops)); returns the (batch, d, d) propagators.
+    (batch, n_steps, len(ops)); returns the (batch, d, d) propagators. Each
+    step is applied to the running product from its eigenpairs (see
+    :func:`_apply_step`), starting from the identity.
 
     A mirror-symmetric schedule (see :func:`_mirror_signs`) is folded: only
-    the first ceil(n/2) steps are exponentiated, and with A the product of
+    the first ceil(n/2) steps are diagonalized, and with A the product of
     the first floor(n/2) of them, U = S A^T S A, with the middle step
     between the two factors when n is odd.
     """
@@ -155,13 +163,15 @@ def _propagate_steps(drift, ops, values, dt) -> np.ndarray:
     U = np.zeros((batch, d, d), dtype=complex)
     for block in blocks:
         steps = _block_steps(drift, ops, values, block, real, dt)
-        prod = next(steps)
-        for _ in range(1, n_steps if s is None else n_steps // 2):
-            prod = next(steps) @ prod
+        b = len(range(d)[block])
+        prod = np.broadcast_to(np.eye(b, dtype=complex), (batch, b, b)).copy()
+        work = np.empty_like(prod)
+        for _ in range(n_steps if s is None else n_steps // 2):
+            _apply_step(next(steps), prod, work)
         if s is not None:
             mirror = np.outer(s[block], s[block]) * np.swapaxes(prod, -1, -2)
             if n_steps % 2:
-                prod = next(steps) @ prod
+                _apply_step(next(steps), prod, work)
             prod = mirror @ prod
         U[:, block, block] = prod
     return U
@@ -193,8 +203,13 @@ def propagate_many(
     ``delta_offsets`` is 1-D, one static offset per propagator, or 2-D of
     shape (rows, n_steps), one offset per propagator and step midpoint (a
     sampled noise trace per row). Every row goes through one kernel call.
+    ``n_steps`` below 1 and non-finite offsets raise :class:`InvalidInputError`.
     """
+    if n_steps < 1:
+        raise InvalidInputError(f"n_steps must be >= 1, got {n_steps}")
     rows = np.asarray(delta_offsets, dtype=float)
+    if not np.all(np.isfinite(rows)):
+        raise InvalidInputError("non-finite detuning offset")
     if rows.ndim <= 1:
         rows = np.atleast_1d(rows)
         rows = np.broadcast_to(rows[:, None], (len(rows), n_steps))

@@ -20,8 +20,9 @@ import numpy as np
 from scipy.linalg import expm, logm
 
 from .cats import matrix_elements
-from .fock import FockSpace, HamiltonianAssembly, KerrCatParams, destroy, is_real
-from .propagation import _step_exponentials
+from .fock import (FockSpace, HamiltonianAssembly, InvalidInputError, KerrCatParams, destroy,
+                   is_real)
+from .propagation import _apply_step, _step_eigenpairs
 from .pulses import PAULI_X, PAULI_Y
 from .spectral import spectrum_at
 
@@ -168,17 +169,23 @@ def full_two_mode_propagate(
 ) -> np.ndarray:
     """Midpoint-exponential propagation of the coupled two-mode system.
 
-    One full-dimension step exponential per step; real when the
-    beamsplitter phase makes the coupling real.
+    One full-dimension ``eigh`` per step, real when the beamsplitter phase
+    makes the coupling real; each step is applied to the running product
+    from its eigenpairs, so no step exponential is formed.
     """
     if space.dim > 24:
         raise ValueError("per-mode dim > 24 is beyond the intended scale here")
+    if n_steps < 1:
+        raise InvalidInputError(f"n_steps must be >= 1, got {n_steps}")
+    times, g = (np.asarray(x, dtype=float) for x in g_envelope)
+    if not (np.isfinite(delta_A) and np.isfinite(delta_B)
+            and np.all(np.isfinite(times)) and np.all(np.isfinite(g))):
+        raise InvalidInputError("non-finite detuning offset or coupling envelope")
     H0, coupling, _ = two_mode_hamiltonian_parts(params_A, params_B, space, phase)
     eye = np.eye(space.dim)
     a = destroy(space)
     n = a.conj().T @ a
     H0 = H0 + delta_A * np.kron(n, eye) + delta_B * np.kron(eye, n)
-    times, g = g_envelope
     T = times[-1]
     grid = np.linspace(0.0, T, n_steps + 1)
     dt = grid[1] - grid[0]
@@ -187,8 +194,9 @@ def full_two_mode_propagate(
     if is_real(H0) and is_real(coupling):
         H0, coupling = H0.real, coupling.real
     U = np.eye(H0.shape[0], dtype=complex)
+    work = np.empty_like(U)
     for gk in g_mid:
-        U = _step_exponentials(H0 + gk * coupling, dt) @ U
+        _apply_step(_step_eigenpairs(H0 + gk * coupling, dt), U, work)
     return U
 
 

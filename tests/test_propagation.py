@@ -10,11 +10,11 @@ from scipy.linalg import expm
 
 from kerrcat.fidelity import computational_pair, infidelity
 from kerrcat import propagation
-from kerrcat.fock import (FockSpace, HamiltonianAssembly, KerrCatParams, block_hamiltonians,
-                          is_real, keeps_parity, parity_blocks, parity_operator,
-                          present_channels)
+from kerrcat.fock import (FockSpace, HamiltonianAssembly, InvalidInputError, KerrCatParams,
+                          block_hamiltonians, is_real, keeps_parity, parity_blocks,
+                          parity_operator, present_channels)
 from kerrcat.noise import NoiseModel, sample_noise
-from kerrcat.propagation import (_propagate_steps, _step_exponentials,
+from kerrcat.propagation import (_apply_step, _propagate_steps, _step_eigenpairs,
                                  adiabaticity_diagnostic, propagate, propagate_many,
                                  propagate_noise_trace)
 from kerrcat.pulses import (PulseSchedule, idle_schedule, rot_z, scheme_kerr_gate,
@@ -67,19 +67,67 @@ def _expm_product(drift, ops, values, dt):
 
 
 def _sequential_product(drift, ops, values, dt):
-    """Reference: every step exponentiated and multiplied in time order, unfolded."""
+    """Reference: every step's eigenpairs applied to the identity in time order, unfolded."""
     ops, values = present_channels(ops, values)
     d = drift.shape[0]
     real = all(is_real(op) for op in (drift, *ops))
     parity = real and all(keeps_parity(op) for op in (drift, *ops))
     U = np.zeros((len(values), d, d), dtype=complex)
     for block in parity_blocks(d) if parity else (slice(0, d),):
-        steps = _step_exponentials(block_hamiltonians(drift, ops, values, block, real), dt)
-        prod = steps[:, 0]
-        for k in range(1, values.shape[1]):
-            prod = steps[:, k] @ prod
+        phases, V = _step_eigenpairs(block_hamiltonians(drift, ops, values, block, real), dt)
+        prod = np.broadcast_to(np.eye(V.shape[-1], dtype=complex), V[:, 0].shape).copy()
+        work = np.empty_like(prod)
+        for k in range(values.shape[1]):
+            _apply_step((phases[:, k], V[:, k]), prod, work)
         U[:, block, block] = prod
     return U
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(["parity", "real", "complex"]), dim=st.integers(2, 12),
+       batch_shape=st.lists(st.integers(1, 3), max_size=2).map(tuple),
+       n_prior=st.integers(0, 4), seed=st.integers(0, 2**32 - 1), dt=st.floats(0.01, 0.2))
+def test_apply_step_matches_expm(kind, dim, batch_shape, n_prior, seed, dt):
+    # each step is applied in place to a running product of the steps before
+    # it; V stays real on the parity-block and real paths
+    rng = np.random.default_rng(seed)
+    if kind == "parity":
+        asm, ops, _ = _random_channels("parity", dim, 1, 1, seed)
+        values = rng.uniform(-1.0, 1.0, size=(n_prior + 1, *batch_shape, len(ops)))
+        H = block_hamiltonians(asm.drift, ops, values, parity_blocks(dim)[seed % 2], True)
+    else:
+        A = rng.standard_normal((n_prior + 1, *batch_shape, dim, dim))
+        if kind == "complex":
+            A = A + 1j * rng.standard_normal(A.shape)
+        H = A + np.swapaxes(A, -1, -2).conj()
+    b = H.shape[-1]
+    U = np.broadcast_to(np.eye(b, dtype=complex), H.shape[1:]).copy()
+    ref = U.reshape(-1, b, b).copy()
+    work = np.empty_like(U)
+    for Hk in H:
+        step = _step_eigenpairs(Hk, dt)
+        assert np.isrealobj(step[1]) == (kind != "complex")
+        assert _apply_step(step, U, work) is U
+        ref = np.array([expm(-1j * h * dt) @ r for h, r in zip(Hk.reshape(-1, b, b), ref)])
+    err = np.linalg.norm(U.reshape(-1, b, b) - ref, ord=2, axis=(1, 2))
+    assert np.max(err) < 1e-12
+
+
+def test_kernel_entry_rejects_bad_input():
+    p = KerrCatParams.from_alpha2(2.0)
+    s = scheme_x(20.0, 0.05, p, n_samples=201)
+    space = FockSpace(8)
+    for n_steps in (0, -3):
+        with pytest.raises(InvalidInputError, match="n_steps"):
+            propagate_many(s, space, [0.0], n_steps=n_steps)
+    with pytest.raises(InvalidInputError, match="n_steps"):
+        propagate_noise_trace(s, space, [], n_steps=0)
+    with pytest.raises(InvalidInputError, match="non-finite"):
+        propagate_many(s, space, [0.0, np.nan], n_steps=10)
+    trace = np.zeros(10)
+    trace[4] = np.inf
+    with pytest.raises(InvalidInputError, match="non-finite"):
+        propagate_noise_trace(s, space, trace, n_steps=10)
 
 
 def test_drift_only_diagonal_phases():

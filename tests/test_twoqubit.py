@@ -4,14 +4,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from kerrcat.fock import FockSpace, KerrCatParams
+from kerrcat.fock import FockSpace, InvalidInputError, KerrCatParams, number_operator
 from kerrcat.pulses import scheme_xx_envelope
 from kerrcat.twoqubit import (TwoQubitEffectiveModel, echo_xx,
                               effective_interaction, effective_unitary,
                               full_two_mode_propagate, makhlin_invariants,
                               phase_optimized_distance, projected_generator,
-                              two_mode_computational_projector, xx_target,
-                              _XX, _YY)
+                              two_mode_computational_projector, two_mode_hamiltonian_parts,
+                              xx_target, _XX, _YY)
+from test_propagation import recorded_eigh
 
 
 def _model(a2a, a2b, T=20.0, g0=1e-3, phase=0.0, constant=False):
@@ -148,6 +149,46 @@ def test_full_two_mode_real_path_matches_complex():
                                      n_steps=30)
     assert np.max(np.abs(U_real - U_cplx)) < 1e-10
     assert np.max(np.abs(U_real.conj().T @ U_real - np.eye(36))) < 1e-12
+
+
+@pytest.mark.parametrize("dim", [3, 4])
+@pytest.mark.parametrize("phase", [0.0, 0.7])
+def test_full_two_mode_one_eigh_per_step_matches_expm(dim, phase):
+    # one full-dimension eigh per step (real at phase 0, complex otherwise),
+    # and the result is the per-step expm product
+    space = FockSpace(dim)
+    pa = KerrCatParams.from_alpha2(1.0)
+    pb = KerrCatParams.from_alpha2(1.5)
+    times, g = scheme_xx_envelope(4.0, 0.2, n_samples=41)
+    n_steps, dA, dB = 25, 0.03, -0.02
+    with recorded_eigh() as seen:
+        U = full_two_mode_propagate(pa, pb, space, (times, g), phase=phase, delta_A=dA,
+                                    delta_B=dB, n_steps=n_steps)
+    real = np.float64 if phase == 0.0 else np.complex128
+    assert seen == [(real, (dim**2, dim**2))] * n_steps
+    H0, coupling, _ = two_mode_hamiltonian_parts(pa, pb, space, phase)
+    n, eye = number_operator(space), np.eye(dim)
+    H0 = H0 + dA * np.kron(n, eye) + dB * np.kron(eye, n)
+    dt = 4.0 / n_steps
+    ref = np.eye(dim**2, dtype=complex)
+    for gk in np.interp((np.arange(n_steps) + 0.5) * dt, times, g):
+        ref = expm(-1j * (H0 + gk * coupling) * dt) @ ref
+    assert np.linalg.norm(U - ref, ord=2) < 1e-12
+
+
+def test_full_two_mode_rejects_bad_input():
+    pa = KerrCatParams.from_alpha2(1.0)
+    space = FockSpace(3)
+    times = np.linspace(0, 1, 11)
+    with pytest.raises(InvalidInputError, match="n_steps"):
+        full_two_mode_propagate(pa, pa, space, (times, np.zeros(11)), n_steps=0)
+    bad = np.zeros(11)
+    bad[3] = np.nan
+    with pytest.raises(InvalidInputError, match="non-finite"):
+        full_two_mode_propagate(pa, pa, space, (times, bad), n_steps=5)
+    with pytest.raises(InvalidInputError, match="non-finite"):
+        full_two_mode_propagate(pa, pa, space, (times, np.zeros(11)), delta_A=np.nan,
+                                n_steps=5)
 
 
 def test_dim_guard():
