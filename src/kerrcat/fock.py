@@ -50,6 +50,9 @@ class KerrCatParams:
     delta: float = 0.0
 
     def __post_init__(self):
+        if not np.all(np.isfinite((self.kerr, self.eps2_0, self.delta))):
+            raise InvalidInputError(f"non-finite parameter: kerr={self.kerr}, "
+                                    f"eps2_0={self.eps2_0}, delta={self.delta}")
         if not self.kerr > 0:
             raise InvalidInputError(f"Kerr nonlinearity must be positive, got {self.kerr}")
         if self.eps2_0 < 0:

@@ -15,14 +15,14 @@ which vanishes with zero slope at both endpoints and peaks at f(T/2) = 1.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
 from .cats import cat_vectors, matrix_elements
-from .fock import CHANNELS, FockSpace, HamiltonianAssembly, KerrCatParams
-from .spectral import _comp_columns, _gap_slopes, _parity_spectra
+from .fock import CHANNELS, FockSpace, HamiltonianAssembly, InvalidInputError, KerrCatParams
+from .spectral import NoRobustPointError, _comp_columns, _gap_slopes, _parity_spectra
 
 DEFAULT_SAMPLES = 2001
 
@@ -154,8 +154,11 @@ class PulseSchedule:
         """(drift, ops, values) with H(t[k]) = drift + sum_j values[k, j] ops[j].
 
         One column per channel, ``delta`` first (zero when the schedule has
-        none), then the schedule's other channels in their order.
+        none), then the schedule's other channels in their order. Raises
+        :class:`InvalidInputError` when a time or a channel sample is not finite.
         """
+        if not all(np.all(np.isfinite(v)) for v in (self.times, *self.channels.values())):
+            raise InvalidInputError(f"{self.scheme} schedule has a non-finite time or sample")
         assembly = HamiltonianAssembly.build(self.base, space)
         names = ["delta", *(c for c in self.channels if c != "delta")]
         values = np.column_stack([self.channel_at(name, t) for name in names])
@@ -238,8 +241,7 @@ def _drag_approx(times, eps_y_dot, alpha2_t, params, space):
     e2_t = np.interp(alpha2_t, grid, e2)
     e3_t = np.interp(alpha2_t, grid, e3)
     alphas = np.sqrt(np.maximum(alpha2_t, 0.0))
-    hx_t = np.array([matrix_elements(a)[0] for a in alphas])
-    hy_t = np.array([matrix_elements(a)[1] for a in alphas])
+    hx_t, hy_t = np.array([matrix_elements(a) for a in alphas]).T
     return (h12_t**2 / e2_t - h03_t**2 / e3_t) / (4.0 * hy_t * hx_t) * eps_y_dot
 
 
@@ -366,8 +368,6 @@ def scheme_z_robustline(
     mid = (times >= tau) & (times <= T - tau)
     eps2_mod[mid] = eps2_ramp0 * truncated_gaussian(times[mid] - tau, mid_T)
     alpha2_t = (params.eps2_0 + eps2_mod) / params.kerr
-
-    from .spectral import NoRobustPointError
 
     try:
         delta_rob_start = float(np.asarray(robust_line_fn(params.alpha2)))

@@ -215,19 +215,21 @@ def gap_derivative(
 ROBUST_SECTOR_GAP_MIN = 1.2
 
 
-def robust_line(alpha2: float, space: FockSpace, kerr: float = 1.0) -> float:
-    """Detuning delta_rob in (0, K) where the gap derivative vanishes.
+def robust_line(alpha2: float, space: FockSpace) -> float:
+    """Detuning delta_rob in (0, 1) where the gap derivative vanishes, in units of K.
 
     A 64-point scan brackets the first + -> - sign change of the
     Hellmann-Feynman derivative, and Illinois false position finds the root
     inside that bracket. Raises :class:`NoRobustPointError` when the
     derivative does not change sign in (0, K), or when the zero sits on an
     avoided crossing with leakage states, both of which happen for small cat
-    sizes.
+    sizes. For Kerr K != 1, ``KerrCatParams.from_alpha2(alpha2, kerr=K)`` has its
+    robust point at ``K * robust_line(alpha2, space)``: H / K depends on delta / K and
+    alpha^2 only.
     """
-    params = KerrCatParams.from_alpha2(alpha2, kerr=kerr)
+    params = KerrCatParams.from_alpha2(alpha2)
     assembly = HamiltonianAssembly.build(params, space)
-    grid = np.linspace(kerr / 64, kerr * (1 - 1e-9), 64)
+    grid = np.linspace(1 / 64, 1 - 1e-9, 64)
     values, sector_gaps = _checked_slopes(assembly, grid, NEIGHBOR_TOL)
     crossings = np.flatnonzero((values[:-1] > 0) & (values[1:] <= 0))
     if len(crossings) == 0:
@@ -240,7 +242,7 @@ def robust_line(alpha2: float, space: FockSpace, kerr: float = 1.0) -> float:
     # Illinois false position: the bracket keeps f(lo) > 0 >= f(hi), and the
     # value at an end kept twice in a row is halved, so both ends close in and
     # the steps shrink superlinearly; a step under 1e-10 K ends the search
-    while abs(step) > 1e-10 * kerr:
+    while abs(step) > 1e-10:
         new = (lo * f_hi - hi * f_lo) / (f_hi - f_lo)
         step, root = new - root, new
         (f,), (sector_gap,) = _checked_slopes(assembly, [root], NEIGHBOR_TOL)
@@ -251,7 +253,7 @@ def robust_line(alpha2: float, space: FockSpace, kerr: float = 1.0) -> float:
             f_lo = f_lo / 2 if side < 0 else f_lo
             hi, f_hi, side = root, f, -1
 
-    if sector_gap < ROBUST_SECTOR_GAP_MIN * kerr:
+    if sector_gap < ROBUST_SECTOR_GAP_MIN:
         raise NoRobustPointError(
             f"gap maximum at alpha2={alpha2} sits on an avoided crossing "
             f"(sector gap {sector_gap:.3g} K); no usable robust point"
@@ -282,15 +284,14 @@ def gap_landscape(
     delta_grid: Sequence[float],
     alpha2_grid: Sequence[float],
     space: FockSpace,
-    kerr: float = 1.0,
 ) -> GapLandscape:
-    """Evaluate gap and derivative over a rectangular (delta, alpha^2) grid."""
+    """Gap and derivative over a rectangular (delta, alpha^2) grid, in units of K."""
     deltas = np.asarray(delta_grid, dtype=float)
     alpha2s = np.asarray(alpha2_grid, dtype=float)
     gap = np.empty((len(deltas), len(alpha2s)))
     deriv = np.empty_like(gap)
     for j, a2 in enumerate(alpha2s):
-        params = KerrCatParams.from_alpha2(a2, kerr=kerr)
+        params = KerrCatParams.from_alpha2(a2)
         for i, d in enumerate(deltas):
             spec = spectrum_at(params, d, space)
             gap[i, j] = spec.gap
@@ -299,20 +300,19 @@ def gap_landscape(
 
 
 class RobustLineCache:
-    """delta_rob(alpha^2) precomputed on a grid with monotone cubic interpolation."""
+    """:func:`robust_line` (units of K) on an alpha^2 grid, monotone-cubic interpolated."""
 
     def __init__(self, alpha2_min: float, alpha2_max: float, space: FockSpace,
-                 kerr: float = 1.0, n_points: int = 200):
+                 n_points: int = 200):
         from scipy.interpolate import PchipInterpolator
 
         if not alpha2_max > alpha2_min:
             raise InvalidInputError("alpha2_max must exceed alpha2_min")
         self.alpha2_min = alpha2_min
         self.alpha2_max = alpha2_max
-        self.kerr = kerr
         self.space = space
         grid = np.linspace(alpha2_min, alpha2_max, n_points)
-        values = np.array([robust_line(a2, space, kerr=kerr) for a2 in grid])
+        values = np.array([robust_line(a2, space) for a2 in grid])
         self._interp = PchipInterpolator(grid, values)
 
     def __call__(self, alpha2) -> np.ndarray | float:

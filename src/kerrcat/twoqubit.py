@@ -20,11 +20,11 @@ import numpy as np
 from scipy.linalg import expm, logm
 
 from .cats import matrix_elements
+from .fidelity import computational_pair
 from .fock import (FockSpace, HamiltonianAssembly, InvalidInputError, KerrCatParams, destroy,
                    is_real)
 from .propagation import _apply_step, _step_eigenpairs
 from .pulses import PAULI_X, PAULI_Y
-from .spectral import spectrum_at
 
 _XX = np.kron(PAULI_X, PAULI_X)
 _YY = np.kron(PAULI_Y, PAULI_Y)
@@ -129,18 +129,18 @@ def two_mode_hamiltonian_parts(
     params_B: KerrCatParams,
     space: FockSpace,
     phase: float = 0.0,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(H_A x I + I x H_B, coupling operator, number-sum) on the dim^2 space."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """(H_A x I + I x H_B, coupling operator) on the dim^2 space.
+
+    H_A and H_B are the single-mode drifts, each with its mode's ``params.delta``.
+    """
     eye = np.eye(space.dim)
     drift_A = HamiltonianAssembly.build(params_A, space).drift
     drift_B = HamiltonianAssembly.build(params_B, space).drift
     H0 = np.kron(drift_A, eye) + np.kron(eye, drift_B)
     a = destroy(space)
     bs = np.exp(1j * phase) * np.kron(a.conj().T, a)
-    coupling = bs + bs.conj().T
-    n = a.conj().T @ a
-    n_sum = np.kron(n, eye) + np.kron(eye, n)
-    return H0, coupling, n_sum
+    return H0, bs + bs.conj().T
 
 
 def two_mode_computational_projector(
@@ -149,12 +149,8 @@ def two_mode_computational_projector(
     space: FockSpace,
 ) -> np.ndarray:
     """Columns = tensor products of the single-mode computational pairs."""
-    specs = [spectrum_at(p, 0.0, space) for p in (params_A, params_B)]
-    cols = []
-    for va in (specs[0].psi0, specs[0].psi1):
-        for vb in (specs[1].psi0, specs[1].psi1):
-            cols.append(np.kron(va, vb))
-    return np.column_stack(cols)
+    pair_A, pair_B = (computational_pair(p, space) for p in (params_A, params_B))
+    return np.column_stack([np.kron(va, vb) for va in pair_A for vb in pair_B])
 
 
 def full_two_mode_propagate(
@@ -163,29 +159,23 @@ def full_two_mode_propagate(
     space: FockSpace,
     g_envelope: tuple[np.ndarray, np.ndarray],
     phase: float = 0.0,
-    delta_A: float = 0.0,
-    delta_B: float = 0.0,
     n_steps: int = 400,
 ) -> np.ndarray:
     """Midpoint-exponential propagation of the coupled two-mode system.
 
-    One full-dimension ``eigh`` per step, real when the beamsplitter phase
-    makes the coupling real; each step is applied to the running product
-    from its eigenpairs, so no step exponential is formed.
+    Each mode is detuned by its own ``params.delta``. One full-dimension
+    ``eigh`` per step, real when the beamsplitter phase makes the coupling
+    real; each step is applied to the running product from its eigenpairs,
+    so no step exponential is formed.
     """
     if space.dim > 24:
         raise ValueError("per-mode dim > 24 is beyond the intended scale here")
     if n_steps < 1:
         raise InvalidInputError(f"n_steps must be >= 1, got {n_steps}")
     times, g = (np.asarray(x, dtype=float) for x in g_envelope)
-    if not (np.isfinite(delta_A) and np.isfinite(delta_B)
-            and np.all(np.isfinite(times)) and np.all(np.isfinite(g))):
-        raise InvalidInputError("non-finite detuning offset or coupling envelope")
-    H0, coupling, _ = two_mode_hamiltonian_parts(params_A, params_B, space, phase)
-    eye = np.eye(space.dim)
-    a = destroy(space)
-    n = a.conj().T @ a
-    H0 = H0 + delta_A * np.kron(n, eye) + delta_B * np.kron(eye, n)
+    if not (np.all(np.isfinite(times)) and np.all(np.isfinite(g))):
+        raise InvalidInputError("non-finite coupling envelope")
+    H0, coupling = two_mode_hamiltonian_parts(params_A, params_B, space, phase)
     T = times[-1]
     grid = np.linspace(0.0, T, n_steps + 1)
     dt = grid[1] - grid[0]

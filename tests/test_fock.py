@@ -29,6 +29,13 @@ def test_params_validation():
     assert p.alpha == pytest.approx(np.sqrt(2.5))
 
 
+@pytest.mark.parametrize("field", ["kerr", "eps2_0", "delta"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_params_reject_non_finite(field, value):
+    with pytest.raises(InvalidInputError, match="non-finite"):
+        KerrCatParams(**{field: value})
+
+
 def test_ladder_commutator_truncated():
     space = FockSpace(12)
     a = destroy(space)

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kerrcat.fock import FockSpace, HamiltonianAssembly, KerrCatParams
+from kerrcat.fock import FockSpace, HamiltonianAssembly, InvalidInputError, KerrCatParams
 from kerrcat.noise import first_order_coefficient
+from kerrcat.propagation import adiabaticity_diagnostic, propagate
 from kerrcat.pulses import (AdiabaticityLossError, InvalidRampError, PulseSchedule,
                             SchemeInfeasibleError, _drag_exact, envelope_integral, gap_traces,
                             idle_schedule, predicted_angle, ramp_down, ramp_up,
@@ -17,6 +18,30 @@ from kerrcat.pulses import (AdiabaticityLossError, InvalidRampError, PulseSchedu
 from kerrcat.spectral import ParityLabelError, RobustLineCache, energy_gap, gap_derivative
 
 SPACE = FockSpace(30)
+
+
+def test_non_finite_schedule_samples_raise():
+    space = FockSpace(8)
+    p = KerrCatParams.from_alpha2(2.0)
+    x = scheme_x(20.0, 0.05, p)
+    # no step midpoint of a 10-step propagation reads sample 50
+    eps_x = x.channels["eps_x"].copy()
+    eps_x[50] = np.nan
+    one_nan = dataclasses.replace(x, channels={"eps_x": eps_x})
+    all_nan = dataclasses.replace(x, channels={"eps_x": np.full_like(eps_x, np.nan)})
+    for sched in (one_nan, all_nan):
+        with pytest.raises(InvalidInputError, match="non-finite"):
+            propagate(sched, space, n_steps=10)
+    z = scheme_z_straight(30.0, 0.5, -1.0, p)
+    z = dataclasses.replace(z, channels={**z.channels, "delta": np.full_like(z.times, np.inf)})
+    for read in (lambda: propagate(z, space, n_steps=10), lambda: gap_traces(z, space),
+                 lambda: adiabaticity_diagnostic(z, space)):
+        with pytest.raises(InvalidInputError, match="non-finite"):
+            read()
+    times = x.times.copy()
+    times[3] = np.nan
+    with pytest.raises(InvalidInputError, match="non-finite"):
+        propagate(dataclasses.replace(x, times=times), space, n_steps=10)
 
 
 def test_envelope_endpoints_and_peak():

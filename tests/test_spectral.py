@@ -103,6 +103,15 @@ def test_robust_line_derivative_vanishes():
         assert abs(gap_derivative(KerrCatParams.from_alpha2(alpha2), d, SPACE)) < 1e-11
 
 
+@pytest.mark.parametrize("kerr", [0.5, 2.5])
+def test_robust_line_is_in_units_of_K(kerr):
+    # H / K depends on delta / K and alpha^2 only, so the robust point of a
+    # Kerr-K oscillator is K times the robust line
+    space = FockSpace(30)
+    params = KerrCatParams.from_alpha2(2.0, kerr=kerr)
+    assert abs(gap_derivative(params, kerr * robust_line(2.0, space), space)) < 1e-12
+
+
 def test_parity_label_error():
     space = FockSpace(10)
     H = build_hamiltonian(KerrCatParams(), space, {"eps_x": 0.5})

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -141,12 +143,11 @@ def test_full_two_mode_real_path_matches_complex():
     # phase 0 gives a real coupling (real path); phase 2 pi leaves a
     # round-off imaginary part, which forces the complex path
     space = FockSpace(6)
-    pa = KerrCatParams.from_alpha2(1.0)
+    pa = KerrCatParams.from_alpha2(1.0, delta=0.01)
     pb = KerrCatParams.from_alpha2(1.5)
     env = scheme_xx_envelope(4.0, 0.2, n_samples=41)
-    U_real = full_two_mode_propagate(pa, pb, space, env, delta_A=0.01, n_steps=30)
-    U_cplx = full_two_mode_propagate(pa, pb, space, env, phase=2.0 * np.pi, delta_A=0.01,
-                                     n_steps=30)
+    U_real = full_two_mode_propagate(pa, pb, space, env, n_steps=30)
+    U_cplx = full_two_mode_propagate(pa, pb, space, env, phase=2.0 * np.pi, n_steps=30)
     assert np.max(np.abs(U_real - U_cplx)) < 1e-10
     assert np.max(np.abs(U_real.conj().T @ U_real - np.eye(36))) < 1e-12
 
@@ -155,18 +156,19 @@ def test_full_two_mode_real_path_matches_complex():
 @pytest.mark.parametrize("phase", [0.0, 0.7])
 def test_full_two_mode_one_eigh_per_step_matches_expm(dim, phase):
     # one full-dimension eigh per step (real at phase 0, complex otherwise),
-    # and the result is the per-step expm product
+    # and the result is the per-step expm product; each mode's params.delta
+    # detunes that mode
     space = FockSpace(dim)
     pa = KerrCatParams.from_alpha2(1.0)
     pb = KerrCatParams.from_alpha2(1.5)
     times, g = scheme_xx_envelope(4.0, 0.2, n_samples=41)
     n_steps, dA, dB = 25, 0.03, -0.02
     with recorded_eigh() as seen:
-        U = full_two_mode_propagate(pa, pb, space, (times, g), phase=phase, delta_A=dA,
-                                    delta_B=dB, n_steps=n_steps)
+        U = full_two_mode_propagate(replace(pa, delta=dA), replace(pb, delta=dB), space,
+                                    (times, g), phase=phase, n_steps=n_steps)
     real = np.float64 if phase == 0.0 else np.complex128
     assert seen == [(real, (dim**2, dim**2))] * n_steps
-    H0, coupling, _ = two_mode_hamiltonian_parts(pa, pb, space, phase)
+    H0, coupling = two_mode_hamiltonian_parts(pa, pb, space, phase)
     n, eye = number_operator(space), np.eye(dim)
     H0 = H0 + dA * np.kron(n, eye) + dB * np.kron(eye, n)
     dt = 4.0 / n_steps
@@ -187,8 +189,7 @@ def test_full_two_mode_rejects_bad_input():
     with pytest.raises(InvalidInputError, match="non-finite"):
         full_two_mode_propagate(pa, pa, space, (times, bad), n_steps=5)
     with pytest.raises(InvalidInputError, match="non-finite"):
-        full_two_mode_propagate(pa, pa, space, (times, np.zeros(11)), delta_A=np.nan,
-                                n_steps=5)
+        replace(pa, delta=np.nan)
 
 
 def test_dim_guard():
