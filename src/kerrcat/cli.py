@@ -33,9 +33,9 @@ from .fock import FockSpace, KerrCatParams
 from .noise import (InvalidNoiseModelError, NoiseModel, default_frequency_grid, filter_weight,
                     monte_carlo_infidelity)
 from .optimize import ParamSpace, grid_optimize
-from .pulses import (PulseSchedule, SchemeInfeasibleError, scheme_kerr_gate, scheme_x,
-                     scheme_xx_envelope, scheme_y_drag, scheme_z_robustline, scheme_z_straight,
-                     seed_eps_x0)
+from .pulses import (PulseSchedule, SchemeInfeasibleError, gap_traces, scheme_kerr_gate,
+                     scheme_x, scheme_xx_envelope, scheme_y_drag, scheme_z_robustline,
+                     scheme_z_straight, seed_eps_x0)
 from .spectral import (IllConditionedError, NoRobustPointError, RobustLineCache,
                        gap_landscape, robust_line, spectrum_at)
 from .twoqubit import (TwoQubitEffectiveModel, echo_xx, makhlin_invariants,
@@ -303,8 +303,8 @@ def cmd_gate_sweep(cfg: dict, out: Path) -> int:
 def cmd_noise(cfg: dict, out: Path) -> int:
     space = FockSpace(cfg["fock_dim"])
     sched, T = _configured_schedule(cfg, space, "Z_STRAIGHT")
-    omegas = default_frequency_grid(T)
-    ff = filter_weight(sched, omegas, space)
+    t, _, deriv = gap_traces(sched, space)
+    ff = filter_weight(t, deriv, default_frequency_grid(T))
     out.mkdir(parents=True, exist_ok=True)
     ff.to_csv(out / "filter_weight.csv")
     noise_cfg = cfg.get("noise", {"kind": "ornstein-uhlenbeck",

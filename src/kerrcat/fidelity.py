@@ -98,10 +98,17 @@ def average_infidelity(
 ) -> InfidelityGrid:
     """Infidelity across a symmetric static-detuning window, one propagation."""
     nodes, weights = simpson_nodes(delta_max, n_nodes)
-    psi0, psi1 = computational_pair(schedule.base, space)
-    results = propagate_many(schedule, space, nodes, n_steps=n_steps)
-    infs = np.array([
-        infidelity(r.unitary, schedule.target, psi0, psi1, schedule.frame_rotation)
-        for r in results
-    ])
+    infs = np.array(_pair_infidelities(schedule, space, nodes, n_steps))
     return InfidelityGrid(delta_nodes=nodes, weights=weights, infidelities=infs)
+
+
+def _pair_infidelities(
+    schedule: PulseSchedule,
+    space: FockSpace,
+    offsets: np.ndarray,
+    n_steps: int,
+) -> list[float]:
+    """Infidelity in the schedule's computational pair of each :func:`propagate_many` row."""
+    psi0, psi1 = computational_pair(schedule.base, space)
+    return [infidelity(r.unitary, schedule.target, psi0, psi1, schedule.frame_rotation)
+            for r in propagate_many(schedule, space, offsets, n_steps=n_steps)]

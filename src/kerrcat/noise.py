@@ -12,7 +12,10 @@ power spectral density through the filter weight
     W(omega) = (1/4) |int_0^T exp(i omega t) dE01/ddelta(t) dt|^2,
     avg_infidelity = int domega/2pi S(omega) W(omega).
 
-Monte-Carlo cross-checks feed sampled traces into the full propagator.
+The filter weight, the spectral average and the angle error take one input,
+the gap-slope trace (t, dE01/ddelta) of :func:`gap_traces` or a segment of
+it. Monte-Carlo cross-checks feed sampled traces into the full propagator
+and score them like the static-detuning grid of :mod:`fidelity`.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .fidelity import _pair_infidelities
 from .fock import FockSpace
 from .pulses import PulseSchedule, gap_traces
 
@@ -55,6 +59,9 @@ class NoiseModel:
     def __post_init__(self):
         if self.kind not in NOISE_KINDS:
             raise InvalidNoiseModelError(f"unknown noise kind {self.kind!r}")
+        for key in ("value", "sigma", "tau_c", "omegas", "psd"):
+            if key in self.parameters and not np.all(np.isfinite(self.parameters[key])):
+                raise InvalidNoiseModelError(f"{self.kind} noise needs a finite {key!r}")
         if self.kind == "static" and "value" not in self.parameters:
             raise InvalidNoiseModelError("static noise needs a 'value'")
         if self.kind in ("gaussian-quasistatic", "ornstein-uhlenbeck"):
@@ -142,33 +149,21 @@ def first_order_coefficient(
     return float(np.trapezoid(deriv, t))
 
 
-def _slope_trace(schedule, space, deriv_trace):
-    """``deriv_trace`` = (t, dE01/ddelta) when given, else the gap traces in ``space``."""
-    if deriv_trace is not None:
-        return deriv_trace
-    if space is None:
-        raise ValueError("the gap-slope trace needs space or a precomputed deriv_trace")
-    t, _, deriv = gap_traces(schedule, space)
-    return t, deriv
-
-
 def angle_error_functional(
-    schedule: PulseSchedule,
+    t: np.ndarray,
+    deriv: np.ndarray,
     delta_trace: np.ndarray,
-    space: FockSpace | None,
-    deriv_trace: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> float:
     """First-order gate-angle error -int Delta(t) dE01/ddelta(t) dt.
 
-    ``delta_trace`` is sampled uniformly over the schedule duration. Pass a
-    precomputed ``deriv_trace`` (from :func:`gap_traces`) to amortize the
-    spectral work across many realizations.
+    ``(t, deriv)`` is a gap-slope trace (from :func:`gap_traces`, or a
+    segment of one) and ``delta_trace`` is sampled uniformly over its span
+    [t[0], t[-1]].
     """
     delta_trace = np.asarray(delta_trace, dtype=float)
-    t_ref, deriv = _slope_trace(schedule, space, deriv_trace)
-    t = np.linspace(0.0, schedule.duration, len(delta_trace))
-    integrand = delta_trace * np.interp(t, t_ref, deriv)
-    return float(-np.trapezoid(integrand, t))
+    t_delta = np.linspace(t[0], t[-1], len(delta_trace))
+    integrand = delta_trace * np.interp(t_delta, t, deriv)
+    return float(-np.trapezoid(integrand, t_delta))
 
 
 @dataclass(frozen=True)
@@ -181,8 +176,11 @@ class FilterFunction:
             raise ValueError("filter weight must be non-negative")
 
     def at_zero(self) -> float:
-        k = int(np.argmin(np.abs(self.omegas)))
-        return float(self.W[k])
+        """W(0); the grid must contain omega = 0 exactly."""
+        zero = np.flatnonzero(self.omegas == 0.0)
+        if zero.size == 0:
+            raise ValueError("W(0) needs omega = 0 on the frequency grid")
+        return float(self.W[zero[0]])
 
     def to_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
@@ -212,19 +210,9 @@ class FilterFunction:
         return float(total)
 
 
-def filter_weight(
-    schedule: PulseSchedule,
-    omegas: np.ndarray,
-    space: FockSpace | None,
-    deriv_trace: tuple[np.ndarray, np.ndarray] | None = None,
-) -> FilterFunction:
-    """W(omega) = |Fourier transform of the gap-derivative trajectory|^2 / 4.
-
-    The trajectory is ``deriv_trace`` = (t, dE01/ddelta) when given, else the
-    :func:`gap_traces` of ``schedule`` in ``space``.
-    """
+def filter_weight(t: np.ndarray, deriv: np.ndarray, omegas: np.ndarray) -> FilterFunction:
+    """W(omega) = |Fourier transform of the gap-slope trace (t, deriv)|^2 / 4."""
     omegas = np.asarray(omegas, dtype=float)
-    t, deriv = _slope_trace(schedule, space, deriv_trace)
     phases = np.exp(1j * omegas[:, None] * t[None, :])
     g = np.trapezoid(phases * deriv[None, :], t, axis=1)
     return FilterFunction(omegas=omegas, W=np.abs(g) ** 2 / 4.0)
@@ -237,21 +225,20 @@ def default_frequency_grid(T: float, n_points: int = 513) -> np.ndarray:
 
 
 def spectral_average_infidelity(
-    schedule: PulseSchedule,
+    t: np.ndarray,
+    deriv: np.ndarray,
     noise: NoiseModel,
     omegas: np.ndarray | None = None,
-    space: FockSpace | None = None,
-    deriv_trace: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> float:
     """PSD-convolution estimate int domega/2pi S(omega) W(omega).
 
-    The :func:`filter_weight` of ``schedule`` on ``omegas`` (default
-    :func:`default_frequency_grid`), then :meth:`FilterFunction.spectral_infidelity`.
+    The :func:`filter_weight` of the slope trace on ``omegas`` (default
+    :func:`default_frequency_grid` of the trace's span), then
+    :meth:`FilterFunction.spectral_infidelity`.
     """
     if omegas is None:
-        omegas = default_frequency_grid(schedule.duration)
-    ff = filter_weight(schedule, omegas, space, deriv_trace=deriv_trace)
-    return ff.spectral_infidelity(noise)
+        omegas = default_frequency_grid(t[-1] - t[0])
+    return filter_weight(t, deriv, omegas).spectral_infidelity(noise)
 
 
 def monte_carlo_infidelity(
@@ -265,15 +252,8 @@ def monte_carlo_infidelity(
 
     All traces are propagated in one :func:`propagate_many` call.
     """
-    from .fidelity import computational_pair, infidelity
-    from .propagation import propagate_many
-
     if n_traces < 1:
         raise ValueError(f"n_traces must be >= 1, got {n_traces}")
     dt = schedule.duration / n_steps
     traces = sample_noise(noise, schedule.duration, dt, n_traces=n_traces)
-    psi0, psi1 = computational_pair(schedule.base, space)
-    total = 0.0
-    for res in propagate_many(schedule, space, traces, n_steps=n_steps):
-        total += infidelity(res.unitary, schedule.target, psi0, psi1, schedule.frame_rotation)
-    return total / n_traces
+    return sum(_pair_infidelities(schedule, space, traces, n_steps)) / n_traces

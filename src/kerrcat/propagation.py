@@ -239,12 +239,10 @@ def propagate_noise_trace(
     """Propagate with a time-dependent detuning offset sampled per step.
 
     ``delta_trace`` holds the offset at each midpoint and must have length
-    ``n_steps``; a single-row wrapper around :func:`propagate_many`.
+    ``n_steps``; a single-row wrapper around :func:`propagate_many`, whose
+    shape check rejects any other length.
     """
-    delta_trace = np.asarray(delta_trace, dtype=float)
-    if len(delta_trace) != n_steps:
-        raise ValueError(f"delta_trace length {len(delta_trace)} != n_steps {n_steps}")
-    return propagate_many(schedule, space, delta_trace[None], n_steps)[0]
+    return propagate_many(schedule, space, np.atleast_1d(delta_trace)[None], n_steps)[0]
 
 
 def adiabaticity_diagnostic(

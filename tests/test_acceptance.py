@@ -274,8 +274,7 @@ def test_criterion_08a_static_taylor_vs_filter(zs_grid_schedule, verdict):
     sched = zs_grid_schedule
     p = sched.base
     t, _, deriv = gap_traces(sched, SPACE_FINAL, n_samples=401)
-    w0 = filter_weight(sched, np.array([0.0]), SPACE_FINAL,
-                       deriv_trace=(t, deriv)).W[0]
+    w0 = filter_weight(t, deriv, np.array([0.0])).W[0]
     psi0, psi1 = computational_pair(p, SPACE_FINAL)
     vals = {}
     for dd in (-2e-3, 0.0, 2e-3):
@@ -315,9 +314,8 @@ def test_criterion_08b_robust_line_filter_bound(z_robust_results, verdict):
     slope_unprotected = 4.0 * 2.0 * np.exp(-2.0 * 2.0)
     bound = 1e-10 * (T * slope_unprotected) ** 2
     line = (t >= tau) & (t <= T - tau)
-    segment = filter_weight(sched, omegas, SPACE_FINAL,
-                            deriv_trace=(t[line], deriv[line]))
-    full = filter_weight(sched, omegas, SPACE_FINAL, deriv_trace=(t, deriv))
+    segment = filter_weight(t[line], deriv[line], omegas)
+    full = filter_weight(t, deriv, omegas)
     head, middle, tail = (np.trapezoid(deriv[m], t[m])
                           for m in (t < tau, line, t > T - tau))
     ok = segment.W.max() < bound
@@ -337,9 +335,8 @@ def test_criterion_08c_monte_carlo_vs_spectral(zs_grid_schedule, verdict):
     noise = NoiseModel("ornstein-uhlenbeck",
                        {"sigma": 1e-2, "tau_c": 10.0 * sched.duration}, seed=5)
     t, _, deriv = gap_traces(sched, SPACE_SEARCH, n_samples=401)
-    pred = spectral_average_infidelity(sched, noise,
-                                       default_frequency_grid(sched.duration),
-                                       SPACE_SEARCH, deriv_trace=(t, deriv))
+    pred = spectral_average_infidelity(t, deriv, noise,
+                                       default_frequency_grid(sched.duration))
     mc = monte_carlo_infidelity(sched, noise, SPACE_SEARCH,
                                 n_traces=100, n_steps=1000)
     ratio = (mc - baseline) / pred

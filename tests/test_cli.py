@@ -60,6 +60,15 @@ NOISE_CONFIG = {"scheme": "Z_STRAIGHT", "fock_dim": 12,
     ({"noise": {"kind": "ornstein-uhlenbeck", "parameters": {"tau_c": 10.0}}}, "sigma"),
     ({"noise": {"kind": "gaussian-quasistatic", "parameters": {"sigma": -1e-3}}}, "sigma"),
     ({"noise": {"kind": "static", "parameters": {}}}, "value"),
+    ({"noise": {"kind": "ornstein-uhlenbeck",
+                "parameters": {"sigma": float("nan"), "tau_c": 10.0}}}, "sigma"),
+    ({"noise": {"kind": "ornstein-uhlenbeck",
+                "parameters": {"sigma": 1e-3, "tau_c": float("inf")}}}, "tau_c"),
+    ({"noise": {"kind": "static", "parameters": {"value": float("nan")}}}, "value"),
+    ({"noise": {"kind": "tabulated-psd",
+                "parameters": {"omegas": [0.0, float("inf")], "psd": [1.0, 1.0]}}}, "omegas"),
+    ({"noise": {"kind": "tabulated-psd",
+                "parameters": {"omegas": [0.0, 1.0], "psd": [1.0, float("nan")]}}}, "psd"),
 ])
 def test_noise_config_faults_exit_1(tmp_path, capsys, entries, message):
     cfg = tmp_path / "cfg.json"

@@ -91,7 +91,7 @@ def test_filter_weight_constant_derivative():
     assert np.ptp(deriv) < 1e-10
     c = deriv[0]
     omegas = np.array([0.0, 0.3, 0.9, 2.7])
-    ff = filter_weight(sched, omegas, SPACE, deriv_trace=(t, deriv))
+    ff = filter_weight(t, deriv, omegas)
     safe = np.where(omegas == 0.0, 1.0, omegas)
     expected = np.where(
         omegas == 0.0,
@@ -120,8 +120,7 @@ def test_robust_line_segment_filter_bound_detects_offset():
     def segment_max_w(schedule):
         t, _, deriv = gap_traces(schedule, SPACE, n_samples=401)
         line = (t >= tau) & (t <= T - tau)
-        ff = filter_weight(schedule, omegas, SPACE,
-                           deriv_trace=(t[line], deriv[line]))
+        ff = filter_weight(t[line], deriv[line], omegas)
         return ff.W.max()
 
     assert segment_max_w(sched) < bound
@@ -131,11 +130,10 @@ def test_robust_line_segment_filter_bound_detects_offset():
 def test_filter_weight_even_and_nonnegative():
     p = KerrCatParams(kerr=1.0, eps2_0=2.0, delta=0.3)
     sched = idle_schedule(8.0, p, n_samples=201)
-    dtr = gap_traces(sched, SPACE, n_samples=201)
-    dtr = (dtr[0], dtr[2])
+    t, _, deriv = gap_traces(sched, SPACE, n_samples=201)
     om = np.linspace(0.1, 5.0, 9)
-    plus = filter_weight(sched, om, SPACE, deriv_trace=dtr)
-    minus = filter_weight(sched, -om, SPACE, deriv_trace=dtr)
+    plus = filter_weight(t, deriv, om)
+    minus = filter_weight(t, deriv, -om)
     assert np.all(plus.W >= 0.0)
     assert np.allclose(plus.W, minus.W, rtol=1e-10)
 
@@ -156,31 +154,36 @@ def test_angle_error_static_reduction():
     t, _, deriv = gap_traces(sched, SPACE, n_samples=201)
     c = deriv[0]
     delta0 = 2e-3
-    err = angle_error_functional(sched, np.full(301, delta0), SPACE,
-                                 deriv_trace=(t, deriv))
+    err = angle_error_functional(t, deriv, np.full(301, delta0))
     assert err == pytest.approx(-delta0 * c * T, rel=1e-9)
+
+
+def test_angle_error_on_a_segment_integrates_over_its_span():
+    # a constant slope c on the segment [a, b] of a longer gate: the error is
+    # -Delta c (b - a), not -Delta c times the gate length
+    a, b, c, delta0 = 2.0, 6.0, 0.7, 2e-3
+    t = np.linspace(a, b, 41)
+    err = angle_error_functional(t, np.full_like(t, c), np.full(101, delta0))
+    assert err == pytest.approx(-delta0 * c * (b - a), rel=1e-12)
 
 
 def test_spectral_static_equals_variance_times_w0():
     p = KerrCatParams(kerr=1.0, eps2_0=2.0, delta=0.3)
     sched = idle_schedule(6.0, p, n_samples=201)
-    dtr = gap_traces(sched, SPACE, n_samples=201)
-    dtr = (dtr[0], dtr[2])
+    t, _, deriv = gap_traces(sched, SPACE, n_samples=201)
     noise = NoiseModel("gaussian-quasistatic", {"sigma": 1e-3})
-    avg = spectral_average_infidelity(sched, noise, space=SPACE, deriv_trace=dtr)
-    ff = filter_weight(sched, np.array([0.0]), SPACE, deriv_trace=dtr)
+    avg = spectral_average_infidelity(t, deriv, noise)
+    ff = filter_weight(t, deriv, np.array([0.0]))
     assert avg == pytest.approx(1e-6 * ff.W[0], rel=1e-12)
 
 
-def test_filter_weight_needs_space_or_trace():
-    sched = idle_schedule(6.0, KerrCatParams.from_alpha2(2.0), n_samples=21)
-    noise = NoiseModel("gaussian-quasistatic", {"sigma": 1e-3})
-    with pytest.raises(ValueError, match="space.*deriv_trace"):
-        filter_weight(sched, np.array([0.0]), None)
-    with pytest.raises(ValueError, match="space.*deriv_trace"):
-        spectral_average_infidelity(sched, noise)
-    with pytest.raises(ValueError, match="space.*deriv_trace"):
-        angle_error_functional(sched, np.full(21, 1e-3), None)
+def test_w_at_zero_needs_zero_on_the_grid():
+    # a grid without omega = 0 must not stand in W(omega_min) for W(0)
+    ff = FilterFunction(omegas=np.array([0.5, 1.0, 2.0]), W=np.array([3e-4, 1e-4, 1e-5]))
+    for noise in (NoiseModel("static", {"value": 1e-3}),
+                  NoiseModel("gaussian-quasistatic", {"sigma": 1e-3})):
+        with pytest.raises(ValueError, match="omega = 0"):
+            ff.spectral_infidelity(noise)
 
 
 def test_default_grid():
@@ -194,13 +197,12 @@ def test_default_grid():
 def test_coverage_warning():
     p = KerrCatParams(kerr=1.0, eps2_0=2.0, delta=0.3)
     sched = idle_schedule(6.0, p, n_samples=201)
-    dtr = gap_traces(sched, SPACE, n_samples=201)
-    dtr = (dtr[0], dtr[2])
+    t, _, deriv = gap_traces(sched, SPACE, n_samples=201)
     om = np.linspace(0.0, 50.0, 301)
     # spectral weight concentrated in the top decade of the grid
     tab = NoiseModel("tabulated-psd", {"omegas": om, "psd": om**6})
     with pytest.warns(CoverageWarning):
-        spectral_average_infidelity(sched, tab, omegas=om, space=SPACE, deriv_trace=dtr)
+        spectral_average_infidelity(t, deriv, tab, omegas=om)
 
 
 def test_monte_carlo_static_matches_direct():
@@ -257,11 +259,9 @@ def test_model_rejects_missing_or_negative_parameters(kind, parameters):
 def test_spectral_infidelity_is_the_filter_weights_estimate():
     p = KerrCatParams(kerr=1.0, eps2_0=2.0, delta=0.3)
     sched = idle_schedule(6.0, p, n_samples=201)
-    dtr = gap_traces(sched, SPACE, n_samples=201)
-    dtr = (dtr[0], dtr[2])
+    t, _, deriv = gap_traces(sched, SPACE, n_samples=201)
     om = default_frequency_grid(sched.duration)
-    ff = filter_weight(sched, om, SPACE, deriv_trace=dtr)
+    ff = filter_weight(t, deriv, om)
     for noise in (NoiseModel("ornstein-uhlenbeck", {"sigma": 1e-3, "tau_c": 60.0}),
                   NoiseModel("gaussian-quasistatic", {"sigma": 1e-3})):
-        assert ff.spectral_infidelity(noise) == spectral_average_infidelity(
-            sched, noise, space=SPACE, deriv_trace=dtr)
+        assert ff.spectral_infidelity(noise) == spectral_average_infidelity(t, deriv, noise)
