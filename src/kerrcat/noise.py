@@ -23,6 +23,7 @@ from __future__ import annotations
 import csv
 import warnings
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 
@@ -35,6 +36,15 @@ NOISE_KINDS = ("static", "gaussian-quasistatic", "ornstein-uhlenbeck", "tabulate
 
 class InvalidNoiseModelError(ValueError):
     pass
+
+
+def _finite_reals(x, ndim: int) -> bool:
+    """True when ``x`` is a finite real number (``ndim`` 0) or a 1-D list of them."""
+    try:
+        a = np.asarray(x)
+    except ValueError:  # a ragged nested list
+        return False
+    return a.ndim == ndim and a.dtype.kind in "iuf" and bool(np.all(np.isfinite(a)))
 
 
 class CoverageWarning(UserWarning):
@@ -59,9 +69,12 @@ class NoiseModel:
     def __post_init__(self):
         if self.kind not in NOISE_KINDS:
             raise InvalidNoiseModelError(f"unknown noise kind {self.kind!r}")
-        for key in ("value", "sigma", "tau_c", "omegas", "psd"):
-            if key in self.parameters and not np.all(np.isfinite(self.parameters[key])):
-                raise InvalidNoiseModelError(f"{self.kind} noise needs a finite {key!r}")
+        for key, ndim in (("value", 0), ("sigma", 0), ("tau_c", 0), ("omegas", 1), ("psd", 1)):
+            if key in self.parameters and not _finite_reals(self.parameters[key], ndim):
+                shape = "a finite number" if ndim == 0 else "a list of finite numbers"
+                raise InvalidNoiseModelError(f"{self.kind} noise needs {shape} for {key!r}")
+        if isinstance(self.seed, bool) or not isinstance(self.seed, Integral) or self.seed < 0:
+            raise InvalidNoiseModelError(f"noise seed must be an integer >= 0, got {self.seed!r}")
         if self.kind == "static" and "value" not in self.parameters:
             raise InvalidNoiseModelError("static noise needs a 'value'")
         if self.kind in ("gaussian-quasistatic", "ornstein-uhlenbeck"):
@@ -76,6 +89,8 @@ class NoiseModel:
             psd = np.asarray(self.parameters.get("psd", []), dtype=float)
             if psd.size == 0 or np.any(psd < 0):
                 raise InvalidNoiseModelError("tabulated PSD must be non-negative and non-empty")
+            if np.shape(self.parameters.get("omegas", [])) != psd.shape:
+                raise InvalidNoiseModelError("tabulated PSD needs 'omegas' as long as 'psd'")
 
     def psd(self, omegas: np.ndarray) -> np.ndarray:
         """One-sided-symmetric S(omega); delta-peaked kinds raise."""

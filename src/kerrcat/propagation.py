@@ -13,7 +13,10 @@ that enter H with non-zero values:
 
 * parity blocks -- every operator is real and has no even<->odd Fock
   entries (drift, ``delta``, ``eps2_mod``): two real-symmetric eigh stacks
-  of half the dimension, with the time-ordered products kept per block;
+  of half the dimension, with the time-ordered products kept per block.
+  The two blocks share no data, so the second runs in one worker thread,
+  created and joined inside the call, while the caller runs the first;
+  their pieces share the stack budget;
 * real -- every operator is real (no ``eps_y``): one real-symmetric stack;
 * general -- complex Hermitian eigh.
 
@@ -24,6 +27,7 @@ half of the steps (the gate envelopes are symmetric about T/2).
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -110,24 +114,24 @@ def _mirror_signs(drift, ops, values):
     return None
 
 
-#: matrix entries (rows x steps x b^2) of one piece of a block's step stack:
-#: 1 MiB real on the parity and real paths, 2 MiB complex on the general path
+#: matrix entries (rows x steps x b^2) of the step-stack pieces held at once:
+#: 1 MiB real on the parity and real paths, 2 MiB complex on the general path;
+#: the two concurrent parity blocks take half each
 STACK_ENTRIES = 2**17
 
 
-def _block_steps(drift, ops, values, block, real, dt):
+def _block_steps(drift, ops, values, block, real, dt, entries):
     """The ``block``'s step eigenpairs (phases, V) in time order (see :func:`_step_eigenpairs`).
 
     Each step's phases have shape (rows, b) and its V shape (rows, b, b).
-    The steps are diagonalized in time-ordered pieces of at most
-    :data:`STACK_ENTRIES` matrix entries, the smallest piece being one step
-    of every row, so the stack held at once stays bounded however many rows
-    and steps there are. Each step's eigenpairs do not depend on the piece
-    they are taken in.
+    The steps are diagonalized in time-ordered pieces of at most ``entries``
+    matrix entries, the smallest piece being one step of every row, so the
+    stack held at once stays bounded however many rows and steps there are.
+    Each step's eigenpairs do not depend on the piece they are taken in.
     """
     rows, n_steps, _ = values.shape
     b = len(range(drift.shape[0])[block])
-    piece = max(1, STACK_ENTRIES // (rows * b * b))
+    piece = max(1, entries // (rows * b * b))
     for start in range(0, n_steps, piece):
         phases, V = _step_eigenpairs(
             block_hamiltonians(drift, ops, values[:, start:start + piece], block, real), dt)
@@ -148,6 +152,10 @@ def _propagate_steps(drift, ops, values, dt) -> np.ndarray:
     the first ceil(n/2) steps are diagonalized, and with A the product of
     the first floor(n/2) of them, U = S A^T S A, with the middle step
     between the two factors when n is odd.
+
+    On the parity path the two blocks' products run concurrently, the odd
+    block in one worker thread that does not outlive the call; each
+    block's pieces hold at most half of :data:`STACK_ENTRIES`.
     """
     batch, n_steps, _ = values.shape
     ops, values = present_channels(ops, values)
@@ -160,9 +168,11 @@ def _propagate_steps(drift, ops, values, dt) -> np.ndarray:
     s = _mirror_signs(drift, ops, values)
     if s is not None:
         values = values[:, :(n_steps + 1) // 2]
+    entries = STACK_ENTRIES // len(blocks)
     U = np.zeros((batch, d, d), dtype=complex)
-    for block in blocks:
-        steps = _block_steps(drift, ops, values, block, real, dt)
+
+    def block_product(block):
+        steps = _block_steps(drift, ops, values, block, real, dt, entries)
         b = len(range(d)[block])
         prod = np.broadcast_to(np.eye(b, dtype=complex), (batch, b, b)).copy()
         work = np.empty_like(prod)
@@ -174,6 +184,17 @@ def _propagate_steps(drift, ops, values, dt) -> np.ndarray:
                 _apply_step(next(steps), prod, work)
             prod = mirror @ prod
         U[:, block, block] = prod
+
+    if len(blocks) == 1:
+        block_product(blocks[0])
+        return U
+    even, odd = blocks
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        worker = pool.submit(block_product, odd)
+        try:
+            block_product(even)
+        finally:
+            worker.result()
     return U
 
 

@@ -69,6 +69,11 @@ NOISE_CONFIG = {"scheme": "Z_STRAIGHT", "fock_dim": 12,
                 "parameters": {"omegas": [0.0, float("inf")], "psd": [1.0, 1.0]}}}, "omegas"),
     ({"noise": {"kind": "tabulated-psd",
                 "parameters": {"omegas": [0.0, 1.0], "psd": [1.0, float("nan")]}}}, "psd"),
+    ({"noise": {"kind": "gaussian-quasistatic", "parameters": {"sigma": "1e-3"}}}, "sigma"),
+    ({"noise": {"kind": "tabulated-psd",
+                "parameters": {"omegas": [0.0, 1.0, 2.0], "psd": [1.0, 1.0]}}}, "omegas"),
+    ({"noise": {"kind": "static", "parameters": {"value": 1e-3}, "seed": -1}}, "seed"),
+    ({"noise": {"kind": "static", "parameters": {"value": 1e-3}, "seed": 1.5}}, "seed"),
 ])
 def test_noise_config_faults_exit_1(tmp_path, capsys, entries, message):
     cfg = tmp_path / "cfg.json"

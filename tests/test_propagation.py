@@ -1,3 +1,5 @@
+import sys
+import threading
 from contextlib import contextmanager
 from dataclasses import replace
 from unittest import mock
@@ -289,7 +291,9 @@ def test_kernel_path_follows_present_operators(kind, zero, eigh_calls):
         values[:, :, zero] = 0.0
     with recorded_eigh() as seen:
         _propagate_steps(asm.drift, ops, values, 0.1)
-    assert [(dtype, shape[-1]) for dtype, shape in seen] == eigh_calls
+    # the parity blocks run concurrently, so the order of their calls is not defined
+    assert sorted([(dtype, shape[-1]) for dtype, shape in seen], key=str) \
+        == sorted(eigh_calls, key=str)
 
 
 def _mirrored_channels(kind, dim, n_steps, batch, seed):
@@ -452,6 +456,60 @@ def test_step_stacks_bounded_on_long_tables(kind, dim, batch, budget):
     for _, shape in seen:
         assert np.prod(shape) <= limit or shape[1] == 1
         assert shape[0] == batch
+        if kind == "parity":  # the two concurrent blocks share the budget
+            assert np.prod(shape) <= limit // 2 or shape[1] == 1
+
+
+@pytest.mark.parametrize("size, in_worker", [(3, True), (4, False)])
+def test_parity_block_failure_propagates_and_leaves_no_thread(size, in_worker):
+    # dim 7: the caller takes the 4 x 4 even block, the worker the 3 x 3 odd one
+    s = _random_schedule("parity", seed=6)
+    space = FockSpace(7)
+    before = propagate_many(s, space, [0.0, 1e-2], n_steps=30)
+    threads = threading.active_count()
+    failure = np.linalg.LinAlgError("block failed")
+    failed_in = []
+    eigh = np.linalg.eigh
+
+    def failing_eigh(H):
+        if H.shape[-1] == size:
+            failed_in.append(threading.current_thread() is not threading.main_thread())
+            raise failure
+        return eigh(H)
+
+    with mock.patch.object(np.linalg, "eigh", failing_eigh):
+        with pytest.raises(np.linalg.LinAlgError) as raised:
+            propagate_many(s, space, [0.0, 1e-2], n_steps=30)
+    assert raised.value is failure and failed_in == [in_worker]
+    assert threading.active_count() == threads
+    after = propagate_many(s, space, [0.0, 1e-2], n_steps=30)
+    for a, b in zip(before, after):
+        assert np.array_equal(a.unitary, b.unitary)
+
+
+def test_concurrent_kernel_calls_match_sequential():
+    # more calling threads than cores, each starting its own block worker,
+    # with a short switch interval: every call returns the sequential bits
+    asm, ops, values = _random_channels("parity", 9, 40, 3, seed=12)
+    ref = _sequential_product(asm.drift, ops, values, 0.05)
+    results = [None] * 6
+
+    def run(i):
+        results[i] = _propagate_steps(asm.drift, ops, values, 0.05)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        callers = [threading.Thread(target=run, args=(i,)) for i in range(len(results))]
+        for t in callers:
+            t.start()
+        for t in callers:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in callers)
+    for U in results:
+        assert np.array_equal(U, ref)
 
 
 def test_propagate_many_noise_rows_equal_single_traces():
