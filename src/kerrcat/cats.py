@@ -23,10 +23,8 @@ class TruncationError(ValueError):
 class CatBasis:
     """Normalized even/odd cat vectors (|alpha> +/- |-alpha>) / N_pm."""
 
-    alpha: float
     plus_cat: np.ndarray
     minus_cat: np.ndarray
-    norms: tuple[float, float]
 
 
 def coherent_vector(alpha: float, space: FockSpace) -> np.ndarray:
@@ -53,14 +51,14 @@ def cat_vectors(alpha: float, space: FockSpace) -> CatBasis:
         raise TruncationError(
             f"dim={space.dim} too small for alpha^2={alpha**2:.3g}"
         )
-    norm_plus = sqrt(2.0 * (1.0 + exp(-2.0 * alpha**2)))
-    norm_minus = sqrt(2.0 * (1.0 - exp(-2.0 * alpha**2)))
     if alpha == 0:
         plus = np.zeros(space.dim, dtype=complex)
         minus = np.zeros(space.dim, dtype=complex)
         plus[0] = 1.0
         minus[1] = 1.0
-        return CatBasis(alpha=0.0, plus_cat=plus, minus_cat=minus, norms=(norm_plus, 0.0))
+        return CatBasis(plus_cat=plus, minus_cat=minus)
+    norm_plus = sqrt(2.0 * (1.0 + exp(-2.0 * alpha**2)))
+    norm_minus = sqrt(2.0 * (1.0 - exp(-2.0 * alpha**2)))
     coh = coherent_vector(alpha, space)
     sign = (-1.0) ** np.arange(space.dim)
     plus = (coh + sign * coh) / norm_plus
@@ -68,7 +66,7 @@ def cat_vectors(alpha: float, space: FockSpace) -> CatBasis:
     # renormalize the truncation residue away (exact at adequate dim)
     plus = plus / np.linalg.norm(plus)
     minus = minus / np.linalg.norm(minus)
-    return CatBasis(alpha=alpha, plus_cat=plus, minus_cat=minus, norms=(norm_plus, norm_minus))
+    return CatBasis(plus_cat=plus, minus_cat=minus)
 
 
 def matrix_elements(alpha: float) -> tuple[float, float]:

@@ -108,10 +108,12 @@ def load_config(spec: str | None, overrides: dict) -> dict:
             except json.JSONDecodeError as exc:
                 raise ConfigError(f"malformed config: {exc}") from exc
     cfg.update({k: v for k, v in overrides.items() if v is not None})
-    if cfg["delta_max"] <= 0:
-        raise ConfigError("delta_max must be positive")
-    # n_traces is checked only when given: a default would change every config hash
-    for key, low in (("fock_dim", 2), ("n_steps", 1), ("n_nodes", 3), ("n_traces", 1)):
+    delta_max = cfg["delta_max"]
+    if not isinstance(delta_max, (int, float)) or not 0 < delta_max < float("inf"):
+        raise ConfigError(f"delta_max must be a finite positive number, got {delta_max!r}")
+    # keys without a default are checked only when given: one would change every config hash
+    for key, low in (("fock_dim", 2), ("n_steps", 1), ("n_nodes", 3), ("n_traces", 1),
+                     ("n_delta", 1), ("n_alpha2", 1)):
         if key in cfg and (not isinstance(cfg[key], int) or cfg[key] < low):
             raise ConfigError(f"{key} must be an integer >= {low}, got {cfg[key]!r}")
     if cfg["n_nodes"] % 2 == 0:
@@ -254,8 +256,8 @@ def _write_robust_line(path: Path, alpha2s, space: FockSpace, meta: dict,
 
 def cmd_spectrum(cfg: dict, out: Path) -> int:
     space = FockSpace(cfg["fock_dim"])
-    deltas = np.linspace(0.0, 1.0, int(cfg.get("n_delta", 50)))
-    alpha2s = np.linspace(0.0, 3.0, int(cfg.get("n_alpha2", 50)))
+    deltas = np.linspace(0.0, 1.0, cfg.get("n_delta", 50))
+    alpha2s = np.linspace(0.0, 3.0, cfg.get("n_alpha2", 50))
     land = gap_landscape(deltas, alpha2s, space)
     out.mkdir(parents=True, exist_ok=True)
     land.to_csv(out / "gap_landscape.csv")

@@ -171,7 +171,6 @@ class HamiltonianAssembly:
     """
 
     params: KerrCatParams
-    space: FockSpace
     drift: np.ndarray = field(repr=False)
     channels: Mapping[str, np.ndarray] = field(repr=False)
 
@@ -183,7 +182,7 @@ class HamiltonianAssembly:
             - 0.5 * params.kerr * kerr_term
             + params.eps2_0 * two_photon
         )
-        return cls(params=params, space=space, drift=drift, channels=dict(channels))
+        return cls(params=params, drift=drift, channels=dict(channels))
 
     def at(self, channel_values: Mapping[str, float] | None = None) -> np.ndarray:
         """Instantaneous Hamiltonian for the given channel scalars."""

@@ -91,6 +91,8 @@ class NoiseModel:
                 raise InvalidNoiseModelError("tabulated PSD must be non-negative and non-empty")
             if np.shape(self.parameters.get("omegas", [])) != psd.shape:
                 raise InvalidNoiseModelError("tabulated PSD needs 'omegas' as long as 'psd'")
+            if np.any(np.diff(self.parameters["omegas"]) <= 0):
+                raise InvalidNoiseModelError("tabulated PSD needs strictly increasing 'omegas'")
 
     def psd(self, omegas: np.ndarray) -> np.ndarray:
         """One-sided-symmetric S(omega); delta-peaked kinds raise."""

@@ -17,13 +17,20 @@ import numpy as np
 
 from .cats import TruncationError
 from .fock import FockSpace
-from .fidelity import average_infidelity
+from .fidelity import average_infidelity, computational_pair
+from .noise import first_order_coefficient
+from .propagation import propagate
 from .pulses import (AdiabaticityLossError, InvalidRampError, PulseSchedule,
-                     SchemeInfeasibleError)
+                     SchemeInfeasibleError, scheme_z_straight)
 
 INFEASIBLE_SCORE = 1.0
 #: each refinement round's box is this many times smaller than the last
 SHRINK = 5.0
+#: calibrate_z_straight's detuning bracket, samples, steps and root tolerance
+Z_DELTA_BRACKET = (0.05, 1.0)
+Z_SAMPLES = 801
+Z_STEPS = 250
+Z_XTOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -54,7 +61,6 @@ class OptimizationRecord:
 
     best_params: dict[str, float]
     best_score: float
-    best_worst_node: float
     n_evaluations: int
     history: list[dict] = field(default_factory=list)
 
@@ -63,7 +69,6 @@ class OptimizationRecord:
             json.dump({
                 "best_params": self.best_params,
                 "best_score": self.best_score,
-                "best_worst_node": self.best_worst_node,
                 "n_evaluations": self.n_evaluations,
                 "history": self.history,
             }, fh, indent=2)
@@ -76,17 +81,16 @@ class OptimizationRecord:
 
 
 def grid_search(
-    evaluate: Callable[..., tuple[float, float]],
+    evaluate: Callable[..., float],
     space: ParamSpace,
     coarse_n: int = 21,
     refine_rounds: int = 2,
 ) -> OptimizationRecord:
     """Coarse-to-fine lattice minimization of a scalar objective.
 
-    ``evaluate`` maps keyword arguments named after ``space.names`` to a
-    (score, diagnostic) pair. Ties break toward the earlier lattice point
-    (lexicographic parameter order), so identical inputs give identical
-    records. Each refinement round re-centers a box ``SHRINK`` times smaller
+    ``evaluate`` maps keyword arguments named after ``space.names`` to the
+    score. Ties break toward the earlier lattice point (lexicographic
+    parameter order), so identical inputs give identical records. Each refinement round re-centers a box ``SHRINK`` times smaller
     on the incumbent, clipped to the original bounds.
     """
     lo0 = np.asarray(space.lower, dtype=float)
@@ -102,11 +106,11 @@ def grid_search(
         points = np.column_stack([m.ravel() for m in mesh])
         for pt in points:
             kwargs = dict(zip(space.names, (float(v) for v in pt)))
-            score, worst = evaluate(**kwargs)
+            score = evaluate(**kwargs)
             n_eval += 1
             history.append({"round": round_idx, **kwargs, "score": score})
             if best is None or score < best[1]:
-                best = (kwargs, score, worst)
+                best = (kwargs, score)
         center = np.array([best[0][n] for n in space.names])
         span = (hi - lo) / SHRINK
         lo = np.clip(center - span / 2, lo0, hi0)
@@ -115,7 +119,6 @@ def grid_search(
     return OptimizationRecord(
         best_params=best[0],
         best_score=best[1],
-        best_worst_node=best[2],
         n_evaluations=n_eval,
         history=history,
     )
@@ -126,10 +129,6 @@ def calibrate_z_straight(
     params,
     fock_space: FockSpace,
     ramp_bracket: tuple[float, float],
-    delta_bracket: tuple[float, float] = (0.05, 1.0),
-    n_samples: int = 801,
-    n_steps: int = 250,
-    xtol: float = 1e-10,
 ) -> tuple[float, float]:
     """Solve the two calibration conditions of the straight-line Z scheme.
 
@@ -140,32 +139,27 @@ def calibrate_z_straight(
     zeroes the averaged derivative; the outer root-find then moves the ramp
     depth until the propagated phase hits the target. Returns
     (delta_max, eps2_ramp0). Raises SchemeInfeasibleError if either bracket
-    fails to straddle a root.
+    (``ramp_bracket`` or ``Z_DELTA_BRACKET``) fails to straddle a root.
     """
-    from scipy.optimize import brentq
-
-    from .fidelity import computational_pair
-    from .noise import first_order_coefficient
-    from .propagation import propagate
-    from .pulses import scheme_z_straight
+    from scipy.optimize import brentq  # kept local: scipy.optimize is heavy to import
 
     psi0, psi1 = computational_pair(params, fock_space)
     target_phase = np.pi / 2.0  # relative phase of Z(-pi/2)
 
     def delta_for(ramp: float) -> float:
         def c1(dmax):
-            s = scheme_z_straight(T, dmax, ramp, params, n_samples=n_samples)
+            s = scheme_z_straight(T, dmax, ramp, params, n_samples=Z_SAMPLES)
             return first_order_coefficient(s, fock_space)
-        lo, hi = delta_bracket
+        lo, hi = Z_DELTA_BRACKET
         if c1(lo) * c1(hi) > 0:
             raise SchemeInfeasibleError(
                 "averaged gap derivative does not change sign over the detuning bracket"
             )
-        return brentq(c1, lo, hi, xtol=xtol)
+        return brentq(c1, lo, hi, xtol=Z_XTOL)
 
     def phase_err(ramp: float) -> float:
-        s = scheme_z_straight(T, delta_for(ramp), ramp, params, n_samples=n_samples)
-        U = propagate(s, fock_space, n_steps=n_steps).unitary
+        s = scheme_z_straight(T, delta_for(ramp), ramp, params, n_samples=Z_SAMPLES)
+        U = propagate(s, fock_space, n_steps=Z_STEPS).unitary
         phi = np.angle(np.vdot(psi0, U @ psi0) * np.conj(np.vdot(psi1, U @ psi1)))
         return float(np.angle(np.exp(1j * (phi - target_phase))))
 
@@ -174,7 +168,7 @@ def calibrate_z_straight(
         raise SchemeInfeasibleError(
             "accumulated phase does not cross the target over the ramp bracket"
         )
-    ramp = brentq(phase_err, r_lo, r_hi, xtol=xtol)
+    ramp = brentq(phase_err, r_lo, r_hi, xtol=Z_XTOL)
     return delta_for(ramp), ramp
 
 
@@ -203,7 +197,7 @@ def grid_optimize(
                                       n_nodes=n_nodes, n_steps=n_steps)
         except (SchemeInfeasibleError, InvalidRampError, AdiabaticityLossError,
                 TruncationError):
-            return INFEASIBLE_SCORE, INFEASIBLE_SCORE
-        return grid.average, grid.worst
+            return INFEASIBLE_SCORE
+        return grid.average
 
     return grid_search(evaluate, space, coarse_n=coarse_n, refine_rounds=refine_rounds)

@@ -14,8 +14,8 @@ that enter H with non-zero values:
 * parity blocks -- every operator is real and has no even<->odd Fock
   entries (drift, ``delta``, ``eps2_mod``): two real-symmetric eigh stacks
   of half the dimension, with the time-ordered products kept per block.
-  The two blocks share no data, so the second runs in one worker thread,
-  created and joined inside the call, while the caller runs the first;
+  The two blocks share no data, so the caller runs the even one while one
+  worker thread, created and joined inside the call, runs the odd one;
   their pieces share the stack budget;
 * real -- every operator is real (no ``eps_y``): one real-symmetric stack;
 * general -- complex Hermitian eigh.
@@ -153,9 +153,9 @@ def _propagate_steps(drift, ops, values, dt) -> np.ndarray:
     the first floor(n/2) of them, U = S A^T S A, with the middle step
     between the two factors when n is odd.
 
-    On the parity path the two blocks' products run concurrently, the odd
-    block in one worker thread that does not outlive the call; each
-    block's pieces hold at most half of :data:`STACK_ENTRIES`.
+    The caller runs the first block; a second block (the odd parity block)
+    goes to one worker thread that does not outlive the call, and each
+    block's pieces hold at most ``STACK_ENTRIES / len(blocks)`` entries.
     """
     batch, n_steps, _ = values.shape
     ops, values = present_channels(ops, values)
@@ -185,27 +185,23 @@ def _propagate_steps(drift, ops, values, dt) -> np.ndarray:
             prod = mirror @ prod
         U[:, block, block] = prod
 
-    if len(blocks) == 1:
-        block_product(blocks[0])
-        return U
-    even, odd = blocks
+    first, *rest = blocks
     with ThreadPoolExecutor(max_workers=1) as pool:
-        worker = pool.submit(block_product, odd)
+        workers = [pool.submit(block_product, block) for block in rest]
         try:
-            block_product(even)
+            block_product(first)
         finally:
-            worker.result()
+            for worker in workers:
+                worker.result()
     return U
 
 
-def _propagate_schedule(schedule, space, n_steps, delta_rows) -> np.ndarray:
-    """(batch, d, d) propagators with ``delta_rows`` (batch, n_steps) added to ``delta``."""
-    times = np.linspace(0.0, schedule.duration, n_steps + 1)
-    mid = 0.5 * (times[:-1] + times[1:])
-    drift, ops, table = schedule.hamiltonian_table(space, mid)
-    values = np.repeat(table[None], len(delta_rows), axis=0)
-    values[:, :, 0] += delta_rows
-    return _propagate_steps(drift, ops, values, times[1] - times[0])
+def _step_grid(duration: float, n_steps: int) -> tuple[np.ndarray, float]:
+    """Midpoints and width of ``n_steps`` >= 1 equal steps over [0, duration]."""
+    if n_steps < 1:
+        raise InvalidInputError(f"n_steps must be >= 1, got {n_steps}")
+    times = np.linspace(0.0, duration, n_steps + 1)
+    return 0.5 * (times[:-1] + times[1:]), times[1] - times[0]
 
 
 def _result(U: np.ndarray, step_count: int) -> PropagationResult:
@@ -224,10 +220,10 @@ def propagate_many(
     ``delta_offsets`` is 1-D, one static offset per propagator, or 2-D of
     shape (rows, n_steps), one offset per propagator and step midpoint (a
     sampled noise trace per row). Every row goes through one kernel call.
-    ``n_steps`` below 1 and non-finite offsets raise :class:`InvalidInputError`.
+    ``n_steps`` below 1, no offset rows and non-finite offsets raise
+    :class:`InvalidInputError`.
     """
-    if n_steps < 1:
-        raise InvalidInputError(f"n_steps must be >= 1, got {n_steps}")
+    mid, dt = _step_grid(schedule.duration, n_steps)
     rows = np.asarray(delta_offsets, dtype=float)
     if not np.all(np.isfinite(rows)):
         raise InvalidInputError("non-finite detuning offset")
@@ -237,7 +233,12 @@ def propagate_many(
     if rows.ndim != 2 or rows.shape[1] != n_steps:
         raise ValueError(f"delta_offsets must be 1-D or of shape (rows, {n_steps}), "
                          f"got shape {rows.shape}")
-    U = _propagate_schedule(schedule, space, n_steps, rows)
+    if len(rows) == 0:
+        raise InvalidInputError("no detuning offset rows to propagate")
+    drift, ops, table = schedule.hamiltonian_table(space, mid)
+    values = np.repeat(table[None], len(rows), axis=0)
+    values[:, :, 0] += rows
+    U = _propagate_steps(drift, ops, values, dt)
     return [_result(Uf, n_steps) for Uf in U]
 
 

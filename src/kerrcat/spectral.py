@@ -310,7 +310,6 @@ class RobustLineCache:
             raise InvalidInputError("alpha2_max must exceed alpha2_min")
         self.alpha2_min = alpha2_min
         self.alpha2_max = alpha2_max
-        self.space = space
         grid = np.linspace(alpha2_min, alpha2_max, n_points)
         values = np.array([robust_line(a2, space) for a2 in grid])
         self._interp = PchipInterpolator(grid, values)

@@ -23,7 +23,7 @@ from .cats import matrix_elements
 from .fidelity import computational_pair
 from .fock import (FockSpace, HamiltonianAssembly, InvalidInputError, KerrCatParams, destroy,
                    is_real)
-from .propagation import _apply_step, _step_eigenpairs
+from .propagation import _apply_step, _step_eigenpairs, _step_grid
 from .pulses import PAULI_X, PAULI_Y
 
 _XX = np.kron(PAULI_X, PAULI_X)
@@ -163,23 +163,19 @@ def full_two_mode_propagate(
 ) -> np.ndarray:
     """Midpoint-exponential propagation of the coupled two-mode system.
 
-    Each mode is detuned by its own ``params.delta``. One full-dimension
+    Each mode is detuned by its own ``params.delta``; the steps split
+    [0, last envelope time] as in ``propagate_many``. One full-dimension
     ``eigh`` per step, real when the beamsplitter phase makes the coupling
     real; each step is applied to the running product from its eigenpairs,
     so no step exponential is formed.
     """
     if space.dim > 24:
         raise ValueError("per-mode dim > 24 is beyond the intended scale here")
-    if n_steps < 1:
-        raise InvalidInputError(f"n_steps must be >= 1, got {n_steps}")
     times, g = (np.asarray(x, dtype=float) for x in g_envelope)
     if not (np.all(np.isfinite(times)) and np.all(np.isfinite(g))):
         raise InvalidInputError("non-finite coupling envelope")
+    mid, dt = _step_grid(times[-1], n_steps)
     H0, coupling = two_mode_hamiltonian_parts(params_A, params_B, space, phase)
-    T = times[-1]
-    grid = np.linspace(0.0, T, n_steps + 1)
-    dt = grid[1] - grid[0]
-    mid = 0.5 * (grid[:-1] + grid[1:])
     g_mid = np.interp(mid, times, g)
     if is_real(H0) and is_real(coupling):
         H0, coupling = H0.real, coupling.real

@@ -416,10 +416,8 @@ def test_criterion_10_numerical_hygiene(verdict):
     tr1 = sample_noise(noise, 10.0, 0.05, n_traces=4)
     tr2 = sample_noise(noise, 10.0, 0.05, n_traces=4)
     ps = ParamSpace.from_dict({"x": (0.0, 1.0)})
-    r1 = grid_search(lambda x: ((x - 0.37) ** 2, 0.0), ps, coarse_n=9,
-                     refine_rounds=2)
-    r2 = grid_search(lambda x: ((x - 0.37) ** 2, 0.0), ps, coarse_n=9,
-                     refine_rounds=2)
+    r1 = grid_search(lambda x: (x - 0.37) ** 2, ps, coarse_n=9, refine_rounds=2)
+    r2 = grid_search(lambda x: (x - 0.37) ** 2, ps, coarse_n=9, refine_rounds=2)
     repro = (tr1.tobytes() == tr2.tobytes() and r1.history == r2.history)
 
     ok = (max(defects) < 1e-8 and hf_err < 1e-6 and drift < 1e-8 and repro)

@@ -34,9 +34,13 @@ def test_load_config_errors(tmp_path):
     bad.write_text("{not json")
     with pytest.raises(ConfigError):
         load_config(str(bad), {})
-    for i, entries in enumerate([{"delta_max": -1.0}, {"alpha2_list": []},
+    for i, entries in enumerate([{"delta_max": -1.0}, {"delta_max": "1e-3"},
+                                 {"delta_max": float("nan")}, {"delta_max": float("inf")},
+                                 {"alpha2_list": []},
                                  {"n_nodes": 4}, {"n_nodes": 1}, {"n_steps": 0},
-                                 {"fock_dim": 1}, {"n_traces": 0}, {"n_traces": 2.5}]):
+                                 {"fock_dim": 1}, {"n_traces": 0}, {"n_traces": 2.5},
+                                 {"n_delta": -1}, {"n_delta": "abc"}, {"n_delta": 2.5},
+                                 {"n_alpha2": 0}, {"n_alpha2": "abc"}, {"n_alpha2": 2.5}]):
         path = tmp_path / f"invalid{i}.json"
         path.write_text(json.dumps(entries))
         with pytest.raises(ConfigError, match=next(iter(entries))):
@@ -74,6 +78,8 @@ NOISE_CONFIG = {"scheme": "Z_STRAIGHT", "fock_dim": 12,
                 "parameters": {"omegas": [0.0, 1.0, 2.0], "psd": [1.0, 1.0]}}}, "omegas"),
     ({"noise": {"kind": "static", "parameters": {"value": 1e-3}, "seed": -1}}, "seed"),
     ({"noise": {"kind": "static", "parameters": {"value": 1e-3}, "seed": 1.5}}, "seed"),
+    ({"noise": {"kind": "tabulated-psd",
+                "parameters": {"omegas": [2.0, 1.0, 0.0], "psd": [3.0, 2.0, 1.0]}}}, "omegas"),
 ])
 def test_noise_config_faults_exit_1(tmp_path, capsys, entries, message):
     cfg = tmp_path / "cfg.json"
@@ -142,6 +148,17 @@ def test_spectrum_command(tmp_path):
     land = (out / "gap_landscape.csv").read_text().strip().splitlines()
     assert land[0] == "delta,alpha2,gap,gap_deriv"
     assert len(land) == 1 + 6 * 5
+
+
+@pytest.mark.parametrize("entries", [{"n_delta": -1}, {"n_alpha2": "abc"},
+                                     {"delta_max": "1e-3"}])
+def test_spectrum_config_fault_exits_1(tmp_path, capsys, entries):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"fock_dim": 8, **entries}))
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg), "--out", str(out), "spectrum"]) == 1
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
 
 
 RERUN_CASES = [

@@ -9,7 +9,7 @@ from kerrcat.pulses import AdiabaticityLossError, InvalidRampError, scheme_x, sc
 
 
 def quad_objective(x, y):
-    return (x - 0.3) ** 2 + (y + 0.4) ** 2, 0.0
+    return (x - 0.3) ** 2 + (y + 0.4) ** 2
 
 
 def test_param_space_validation():
@@ -34,7 +34,7 @@ def test_refinement_monotone():
     ps = ParamSpace.from_dict({"x": (0.0, 1.0)})
 
     def f(x):
-        return np.abs(x - 0.437), 0.0
+        return np.abs(x - 0.437)
 
     per_round = []
     for rounds in range(4):
@@ -57,7 +57,7 @@ def test_tie_break_is_lexicographic():
     ps = ParamSpace.from_dict({"x": (0.0, 1.0)})
 
     def flat(x):
-        return 1.0, 1.0
+        return 1.0
 
     rec = grid_search(flat, ps, coarse_n=5, refine_rounds=0)
     assert rec.best_params["x"] == 0.0
@@ -68,8 +68,8 @@ def test_infeasible_points_never_win():
 
     def partial(x):
         if x < 0.5:
-            return INFEASIBLE_SCORE, INFEASIBLE_SCORE
-        return (x - 0.7) ** 2, 0.0
+            return INFEASIBLE_SCORE
+        return (x - 0.7) ** 2
 
     rec = grid_search(partial, ps, coarse_n=11, refine_rounds=2)
     assert rec.best_params["x"] >= 0.5
@@ -79,14 +79,13 @@ def test_infeasible_points_never_win():
 def test_best_matches_reevaluation():
     ps = ParamSpace.from_dict({"x": (0.0, 1.0), "y": (-1.0, 0.0)})
     rec = grid_search(quad_objective, ps, coarse_n=9, refine_rounds=1)
-    score, _ = quad_objective(**rec.best_params)
-    assert score == rec.best_score
+    assert quad_objective(**rec.best_params) == rec.best_score
     assert rec.n_evaluations == len(rec.history) == 2 * 9 * 9
 
 
 def test_record_json_roundtrip(tmp_path):
     ps = ParamSpace.from_dict({"x": (0.0, 1.0)})
-    rec = grid_search(lambda x: (x * x, x), ps, coarse_n=5, refine_rounds=0)
+    rec = grid_search(lambda x: x * x, ps, coarse_n=5, refine_rounds=0)
     path = tmp_path / "rec.json"
     rec.to_json(path)
     back = OptimizationRecord.from_json(path)

@@ -130,6 +130,9 @@ def test_kernel_entry_rejects_bad_input():
     trace[4] = np.inf
     with pytest.raises(InvalidInputError, match="non-finite"):
         propagate_noise_trace(s, space, trace, n_steps=10)
+    for empty in ([], np.zeros((0, 10))):
+        with pytest.raises(InvalidInputError, match="no detuning offset rows"):
+            propagate_many(s, space, empty, n_steps=10)
 
 
 def test_drift_only_diagonal_phases():
@@ -460,10 +463,16 @@ def test_step_stacks_bounded_on_long_tables(kind, dim, batch, budget):
             assert np.prod(shape) <= limit // 2 or shape[1] == 1
 
 
-@pytest.mark.parametrize("size, in_worker", [(3, True), (4, False)])
-def test_parity_block_failure_propagates_and_leaves_no_thread(size, in_worker):
-    # dim 7: the caller takes the 4 x 4 even block, the worker the 3 x 3 odd one
-    s = _random_schedule("parity", seed=6)
+@pytest.mark.parametrize("kind, size, in_worker, workers", [
+    pytest.param("parity", 3, True, 1, id="3-True"),
+    pytest.param("parity", 4, False, 1, id="4-False"),
+    pytest.param("real", 7, False, 0, id="real-7-False"),
+])
+def test_parity_block_failure_propagates_and_leaves_no_thread(kind, size, in_worker, workers):
+    # dim 7: on the parity path the caller takes the 4 x 4 even block and one
+    # worker the 3 x 3 odd one; the real path's single 7 x 7 block runs in the
+    # caller and starts no thread
+    s = _random_schedule(kind, seed=6)
     space = FockSpace(7)
     before = propagate_many(s, space, [0.0, 1e-2], n_steps=30)
     threads = threading.active_count()
@@ -473,14 +482,15 @@ def test_parity_block_failure_propagates_and_leaves_no_thread(size, in_worker):
 
     def failing_eigh(H):
         if H.shape[-1] == size:
-            failed_in.append(threading.current_thread() is not threading.main_thread())
+            failed_in.append((threading.current_thread() is not threading.main_thread(),
+                              threading.active_count() - threads))
             raise failure
         return eigh(H)
 
     with mock.patch.object(np.linalg, "eigh", failing_eigh):
         with pytest.raises(np.linalg.LinAlgError) as raised:
             propagate_many(s, space, [0.0, 1e-2], n_steps=30)
-    assert raised.value is failure and failed_in == [in_worker]
+    assert raised.value is failure and failed_in == [(in_worker, workers)]
     assert threading.active_count() == threads
     after = propagate_many(s, space, [0.0, 1e-2], n_steps=30)
     for a, b in zip(before, after):
