@@ -109,12 +109,15 @@ def load_config(spec: str | None, overrides: dict) -> dict:
                 raise ConfigError(f"malformed config: {exc}") from exc
     cfg.update({k: v for k, v in overrides.items() if v is not None})
     delta_max = cfg["delta_max"]
-    if not isinstance(delta_max, (int, float)) or not 0 < delta_max < float("inf"):
+    # JSON true and false load as bool, a subclass of int, so each check rejects bool itself
+    if (isinstance(delta_max, bool) or not isinstance(delta_max, (int, float))
+            or not 0 < delta_max < float("inf")):
         raise ConfigError(f"delta_max must be a finite positive number, got {delta_max!r}")
     # keys without a default are checked only when given: one would change every config hash
     for key, low in (("fock_dim", 2), ("n_steps", 1), ("n_nodes", 3), ("n_traces", 1),
                      ("n_delta", 1), ("n_alpha2", 1)):
-        if key in cfg and (not isinstance(cfg[key], int) or cfg[key] < low):
+        if key in cfg and (isinstance(cfg[key], bool) or not isinstance(cfg[key], int)
+                           or cfg[key] < low):
             raise ConfigError(f"{key} must be an integer >= {low}, got {cfg[key]!r}")
     if cfg["n_nodes"] % 2 == 0:
         raise ConfigError(f"n_nodes must be odd, got {cfg['n_nodes']}")

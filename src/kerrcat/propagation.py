@@ -23,6 +23,18 @@ that enter H with non-zero values:
 On any path, a schedule whose steps mirror in time, H_{n-1-k} = S H_k^* S
 with S the identity or photon-number parity, diagonalizes only its first
 half of the steps (the gate envelopes are symmetric about T/2).
+
+:func:`propagate_many` runs the kernel in a kept basis when the Fock
+dimension d exceeds ``KEPT_STATES`` and the drift is real and keeps parity
+(every single-mode schedule): the drift's parity blocks are diagonalized
+once, and the top M/2 states of each block (M = ``KEPT_STATES``) are kept,
+interleaved even, odd, even, ... in descending energy, so index parity is
+photon parity and kept columns 0 and 1 are the computational pair. The kernel propagates
+diag(E) + sum_j v_j V^T O_j V, and the result is lifted back as
+U = V U_M V^T + (1 - V V^T): unitary, and the identity on the discarded
+states. A gate reads the final population of the computational columns on
+the last ``EDGE_STATES`` kept states; above ``EDGE_TOL`` the call is
+propagated again as the full-dimension kernel call.
 """
 
 from __future__ import annotations
@@ -40,6 +52,16 @@ from .spectral import _comp_columns, _parity_spectra
 
 @dataclass(frozen=True)
 class PropagationResult:
+    """A Fock-space propagator, its defect ||U^dag U - 1||_F and its step count.
+
+    A propagator from the kept basis (see :func:`propagate_many`) is
+    V U_M V^T + (1 - V V^T): it is the identity on the drift eigenstates that
+    were not kept, and the gate holds the computational columns' population
+    on the kept basis's edge to at most ``EDGE_TOL``. The gate reads that
+    population at the final time only: a schedule that carries population
+    to the edge and back within the kept states is not seen by it.
+    """
+
     unitary: np.ndarray
     unitarity_defect: float
     step_count: int
@@ -113,6 +135,14 @@ def _mirror_signs(drift, ops, values):
                 return s
     return None
 
+
+#: Fock dimension above which :func:`propagate_many` propagates in the drift's
+#: top eigenstates, and the number of them it keeps
+KEPT_STATES = 16
+#: lowest kept states, the kept basis's edge that the gate reads
+EDGE_STATES = 4
+#: largest final population of the computational columns on the kept basis's edge
+EDGE_TOL = 1e-10
 
 #: matrix entries (rows x steps x b^2) of the step-stack pieces held at once:
 #: 1 MiB real on the parity and real paths, 2 MiB complex on the general path;
@@ -196,6 +226,30 @@ def _propagate_steps(drift, ops, values, dt) -> np.ndarray:
     return U
 
 
+def _kept_propagate(drift, ops, values, dt) -> np.ndarray:
+    """:func:`_propagate_steps` in the drift's gated top eigenstates (see :func:`propagate_many`).
+
+    A drift of dimension <= ``KEPT_STATES``, or one that is not real and
+    parity-keeping, goes straight to the kernel. The gate takes the largest
+    edge population over the rows.
+    """
+    d = drift.shape[0]
+    if d <= KEPT_STATES or not (is_real(drift) and keeps_parity(drift)):
+        return _propagate_steps(drift, ops, values, dt)
+    energies, states = _parity_spectra(drift, [], np.empty(0))
+    # block order is even then odd, each ascending (see _parity_spectra)
+    order = np.empty(d, dtype=int)
+    order[0::2] = np.arange((d + 1) // 2)[::-1]
+    order[1::2] = np.arange((d + 1) // 2, d)[::-1]
+    kept = order[:KEPT_STATES]
+    V = states[:, kept]
+    U = _propagate_steps(np.diag(energies[kept]), [V.T @ op @ V for op in ops], values, dt)
+    edge = np.sum(np.abs(U[:, -EDGE_STATES:, :2]) ** 2, axis=(1, 2))
+    if np.max(edge) > EDGE_TOL:
+        return _propagate_steps(drift, ops, values, dt)
+    return V @ U @ V.T + (np.eye(d) - V @ V.T)
+
+
 def _step_grid(duration: float, n_steps: int) -> tuple[np.ndarray, float]:
     """Midpoints and width of ``n_steps`` >= 1 equal steps over [0, duration]."""
     if n_steps < 1:
@@ -219,9 +273,17 @@ def propagate_many(
 
     ``delta_offsets`` is 1-D, one static offset per propagator, or 2-D of
     shape (rows, n_steps), one offset per propagator and step midpoint (a
-    sampled noise trace per row). Every row goes through one kernel call.
-    ``n_steps`` below 1, no offset rows and non-finite offsets raise
-    :class:`InvalidInputError`.
+    sampled noise trace per row). All rows go through the same kernel call.
+    ``n_steps`` below 1, no offset rows, non-finite offsets and offsets of
+    any other shape raise :class:`InvalidInputError`.
+
+    Above ``KEPT_STATES`` Fock levels the kernel runs in the drift's top
+    eigenstates, ``KEPT_STATES`` / 2 of each parity block interleaved even,
+    odd, ... in descending energy (columns 0 and 1 are the computational pair), and the
+    propagators are lifted back as V U_M V^T + (1 - V V^T), the identity on
+    the states not kept. The gate reads the final population of columns 0
+    and 1 on the last ``EDGE_STATES`` kept states; above ``EDGE_TOL`` the
+    rows are propagated again in one full-dimension kernel call.
     """
     mid, dt = _step_grid(schedule.duration, n_steps)
     rows = np.asarray(delta_offsets, dtype=float)
@@ -231,15 +293,14 @@ def propagate_many(
         rows = np.atleast_1d(rows)
         rows = np.broadcast_to(rows[:, None], (len(rows), n_steps))
     if rows.ndim != 2 or rows.shape[1] != n_steps:
-        raise ValueError(f"delta_offsets must be 1-D or of shape (rows, {n_steps}), "
-                         f"got shape {rows.shape}")
+        raise InvalidInputError(f"delta_offsets must be 1-D or of shape (rows, {n_steps}), "
+                                f"got shape {rows.shape}")
     if len(rows) == 0:
         raise InvalidInputError("no detuning offset rows to propagate")
     drift, ops, table = schedule.hamiltonian_table(space, mid)
     values = np.repeat(table[None], len(rows), axis=0)
     values[:, :, 0] += rows
-    U = _propagate_steps(drift, ops, values, dt)
-    return [_result(Uf, n_steps) for Uf in U]
+    return [_result(U, n_steps) for U in _kept_propagate(drift, ops, values, dt)]
 
 
 def propagate(

@@ -8,9 +8,12 @@ with the full 11-node grid. Search boxes are centered on the optima found
 by full-box scans during development; the optimizer still runs here.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
+from kerrcat import propagation
 from kerrcat.cats import matrix_elements
 from kerrcat.fidelity import average_infidelity, computational_pair, infidelity
 from kerrcat.fock import FockSpace, KerrCatParams
@@ -404,11 +407,16 @@ def test_criterion_10_numerical_hygiene(verdict):
                   - spectrum_at(pp, d - h, SPACE_FINAL).gap) / (2 * h)
             hf_err = max(hf_err, abs(hf - fd))
 
-    # truncation and step-size drift on a sampled sweep point
+    # truncation and step-size drift on a sampled sweep point; base and dim2x
+    # both run in the kept drift eigenstates, so the kept basis is checked
+    # against a full-dimension call on its own
     base = average_infidelity(sched, SPACE_FINAL, n_nodes=3, n_steps=500).average
     dim2x = average_infidelity(sched, FockSpace(80), n_nodes=3, n_steps=500).average
     dthalf = average_infidelity(sched, SPACE_FINAL, n_nodes=3, n_steps=1000).average
+    with mock.patch.object(propagation, "KEPT_STATES", SPACE_FINAL.dim):
+        full = average_infidelity(sched, SPACE_FINAL, n_nodes=3, n_steps=500).average
     drift = max(abs(dim2x - base), abs(dthalf - base))
+    kept = abs(full - base)
 
     # byte-identical reruns under a fixed seed
     noise = NoiseModel("ornstein-uhlenbeck", {"sigma": 1e-3, "tau_c": 50.0},
@@ -420,7 +428,8 @@ def test_criterion_10_numerical_hygiene(verdict):
     r2 = grid_search(lambda x: (x - 0.37) ** 2, ps, coarse_n=9, refine_rounds=2)
     repro = (tr1.tobytes() == tr2.tobytes() and r1.history == r2.history)
 
-    ok = (max(defects) < 1e-8 and hf_err < 1e-6 and drift < 1e-8 and repro)
+    ok = (max(defects) < 1e-8 and hf_err < 1e-6 and drift < 1e-8 and kept < 1e-8
+          and repro)
     verdict("10", "numerical hygiene", ok,
             f"unitarity {max(defects):.1e}, HF-FD {hf_err:.1e}, "
-            f"drift {drift:.1e}, reproducible {repro}")
+            f"drift {drift:.1e}, kept basis {kept:.1e}, reproducible {repro}")

@@ -40,7 +40,10 @@ def test_load_config_errors(tmp_path):
                                  {"n_nodes": 4}, {"n_nodes": 1}, {"n_steps": 0},
                                  {"fock_dim": 1}, {"n_traces": 0}, {"n_traces": 2.5},
                                  {"n_delta": -1}, {"n_delta": "abc"}, {"n_delta": 2.5},
-                                 {"n_alpha2": 0}, {"n_alpha2": "abc"}, {"n_alpha2": 2.5}]):
+                                 {"n_alpha2": 0}, {"n_alpha2": "abc"}, {"n_alpha2": 2.5},
+                                 {"delta_max": True}, {"fock_dim": True}, {"n_steps": True},
+                                 {"n_nodes": True}, {"n_traces": True}, {"n_delta": True},
+                                 {"n_alpha2": True}, {"n_steps": False}]):
         path = tmp_path / f"invalid{i}.json"
         path.write_text(json.dumps(entries))
         with pytest.raises(ConfigError, match=next(iter(entries))):
@@ -113,9 +116,16 @@ def test_config_hash_deterministic():
     assert a != config_hash({"x": 2, "y": [1, 2]})
 
 
-def test_exit_code_config_error(capsys):
+def test_exit_code_config_error(tmp_path, capsys):
     assert main(["--config", "missing.json", "spectrum"]) == 1
     assert "config error" in capsys.readouterr().err
+    # JSON true is a bool, not a point count
+    cfg = tmp_path / "bool.json"
+    cfg.write_text('{"n_delta": true}')
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg), "--out", str(out), "spectrum"]) == 1
+    assert "n_delta" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_gate_sweep_unknown_scheme_is_config_error(tmp_path, capsys):

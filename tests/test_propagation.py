@@ -20,7 +20,7 @@ from kerrcat.propagation import (_apply_step, _propagate_steps, _step_eigenpairs
                                  adiabaticity_diagnostic, propagate, propagate_many,
                                  propagate_noise_trace)
 from kerrcat.pulses import (PulseSchedule, idle_schedule, rot_z, scheme_kerr_gate,
-                            scheme_x, scheme_y_drag, scheme_z_straight)
+                            scheme_x, scheme_y_drag, scheme_z_straight, seed_eps_x0)
 from kerrcat.spectral import diagonalize_labeled
 
 SPACE = FockSpace(30)
@@ -55,6 +55,20 @@ def recorded_eigh():
 
     with mock.patch.object(np.linalg, "eigh", recording_eigh):
         yield seen
+
+
+@contextmanager
+def kernel_calls():
+    """Record the (drift, ops, values, dt) of every kernel call inside the block."""
+    calls = []
+    kernel = propagation._propagate_steps
+
+    def spy(*args):
+        calls.append(args)
+        return kernel(*args)
+
+    with mock.patch.object(propagation, "_propagate_steps", spy):
+        yield calls
 
 
 def _expm_product(drift, ops, values, dt):
@@ -130,6 +144,8 @@ def test_kernel_entry_rejects_bad_input():
     trace[4] = np.inf
     with pytest.raises(InvalidInputError, match="non-finite"):
         propagate_noise_trace(s, space, trace, n_steps=10)
+    with pytest.raises(InvalidInputError, match="delta_offsets"):
+        propagate_noise_trace(s, space, np.zeros(7), n_steps=10)
     for empty in ([], np.zeros((0, 10))):
         with pytest.raises(InvalidInputError, match="no detuning offset rows"):
             propagate_many(s, space, empty, n_steps=10)
@@ -353,14 +369,7 @@ def test_unmirrored_schedules_keep_sequential_product():
     z = scheme_z_straight(20.0, 0.4, -0.5, p, n_samples=201)
     trace = sample_noise(NoiseModel("ornstein-uhlenbeck", {"sigma": 1e-3, "tau_c": 50.0},
                                     seed=4), z.duration, z.duration / 60)[0]
-    calls = []
-
-    def spy(*args):
-        calls.append(args)
-        return kernel(*args)
-
-    kernel = propagation._propagate_steps
-    with mock.patch.object(propagation, "_propagate_steps", spy), recorded_eigh() as seen:
+    with kernel_calls() as calls, recorded_eigh() as seen:
         results = [propagate(drag, space, delta_offset=1e-3, n_steps=60),
                    propagate_noise_trace(z, space, trace, n_steps=60)]
     assert [shape[1] for _, shape in seen] == [60, 60, 60]  # one complex, two parity blocks
@@ -375,16 +384,8 @@ def test_exact_drag_schedule_folds():
     p = KerrCatParams.from_alpha2(1.0)
     space = FockSpace(14)
     drag = scheme_y_drag(10.0, 0.3, -0.3, p, space, drag_mode="exact", n_samples=101)
-    calls = []
-
-    def spy(*args):
-        calls.append(args)
-        return kernel(*args)
-
-    kernel = propagation._propagate_steps
     for n_steps in (60, 61):
-        calls.clear()
-        with mock.patch.object(propagation, "_propagate_steps", spy), recorded_eigh() as seen:
+        with kernel_calls() as calls, recorded_eigh() as seen:
             res = propagate_many(drag, space, [-1e-3, 2e-3], n_steps=n_steps)
         assert seen and all(shape[:2] == (2, (n_steps + 1) // 2) for _, shape in seen)
         ref = _sequential_product(*calls[0])
@@ -540,3 +541,98 @@ def test_propagate_many_noise_rows_equal_single_traces():
     for wrong in (traces[:, :-1], traces[None]):
         with pytest.raises(ValueError, match="delta_offsets"):
             propagate_many(s, SPACE, wrong, n_steps=n_steps)
+
+
+def _full_dimension(schedule, space, offsets, n_steps):
+    """The propagators of one full-dimension kernel call, with no kept basis."""
+    with mock.patch.object(propagation, "KEPT_STATES", space.dim):
+        return [r.unitary for r in propagate_many(schedule, space, offsets, n_steps=n_steps)]
+
+
+def _column_errors(kept, full, params, space):
+    """||(U - U_full) [psi0 psi1]||_2 of each propagator pair."""
+    P = np.column_stack(computational_pair(params, space))
+    return [np.linalg.norm((k - f) @ P, ord=2) for k, f in zip(kept, full)]
+
+
+@settings(max_examples=25, deadline=None)
+@given(kind=st.sampled_from(["X", "Z", "Y"]), alpha2=st.floats(0.5, 2.5),
+       dim=st.integers(propagation.KEPT_STATES + 1, 30), T=st.floats(10.0, 25.0),
+       offsets=st.lists(st.floats(-1e-2, 1e-2), min_size=1, max_size=3))
+def test_kept_basis_matches_full_dimension(kind, alpha2, dim, T, offsets):
+    # the kept basis is gated on its edge population, so the computational
+    # columns may move by about the amplitude sqrt(EDGE_TOL) of that population
+    p = KerrCatParams.from_alpha2(alpha2)
+    space = FockSpace(dim)
+    schedule = {"X": lambda: scheme_x(T, seed_eps_x0(T, p), p, n_samples=101),
+                "Z": lambda: scheme_z_straight(T, 0.4, -0.5, p, n_samples=101),
+                "Y": lambda: scheme_y_drag(T, 0.05, -0.3, p, space, drag_mode="exact",
+                                           n_samples=101)}[kind]()
+    with kernel_calls() as calls:
+        kept = propagate_many(schedule, space, offsets, n_steps=60)
+    assert calls[0][0].shape[0] == propagation.KEPT_STATES
+    full = _full_dimension(schedule, space, offsets, 60)
+    assert max(_column_errors([r.unitary for r in kept], full, p, space)) \
+        < np.sqrt(propagation.EDGE_TOL)
+    for r in kept:
+        assert r.unitarity_defect < 1e-12
+        assert r.step_count == 60
+
+
+@pytest.mark.parametrize("alpha2", [1.5, 3.0])
+def test_kept_basis_falls_back_to_full_dimension(alpha2):
+    # the pump-off Kerr gate leaves the drift's top eigenstates, so the gate
+    # fails and the rows are propagated again in one full-dimension call,
+    # which is the full-dimension kernel call bit for bit
+    p = KerrCatParams.from_alpha2(alpha2)
+    s = scheme_kerr_gate(p, space=SPACE, n_samples=101)
+    with kernel_calls() as calls:
+        res = propagate_many(s, SPACE, [-2e-3, 3e-3], n_steps=80)
+    assert [drift.shape[0] for drift, *_ in calls] == [propagation.KEPT_STATES, SPACE.dim]
+    full = _full_dimension(s, SPACE, [-2e-3, 3e-3], 80)
+    assert all(np.array_equal(r.unitary, f) for r, f in zip(res, full))
+
+
+def test_small_dimension_is_the_direct_kernel_call():
+    # at d <= KEPT_STATES the kernel runs once on the schedule's own table
+    p = KerrCatParams.from_alpha2(1.5)
+    space = FockSpace(propagation.KEPT_STATES)
+    s = scheme_y_drag(15.0, 0.05, -0.3, p, space, drag_mode="exact", n_samples=101)
+    with kernel_calls() as calls:
+        res = propagate_many(s, space, [-1e-3, 0.0, 2e-3], n_steps=50)
+    assert len(calls) == 1
+    assert np.array_equal(calls[0][0], s.hamiltonian_table(space, [0.0])[0])
+    direct = _propagate_steps(*calls[0])
+    assert all(np.array_equal(r.unitary, U) for r, U in zip(res, direct))
+
+
+def test_kept_basis_needs_a_real_parity_drift():
+    # a drift that mixes parities, or a complex one, runs the kernel directly
+    rng = np.random.default_rng(4)
+    d = propagation.KEPT_STATES + 3
+    A = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    values = rng.uniform(-1.0, 1.0, size=(2, 5, 1))
+    for drift in (A + A.conj().T, (A + A.conj().T).real):
+        ops = [np.diag(np.arange(d, dtype=float))]
+        with kernel_calls() as calls:
+            U = propagation._kept_propagate(drift, ops, values, 0.1)
+        assert len(calls) == 1 and calls[0][0] is drift
+        assert np.array_equal(U, _propagate_steps(drift, ops, values, 0.1))
+
+
+def test_kept_basis_keeps_kernel_paths():
+    # interleaved even, odd, ... kept states: index parity is photon parity,
+    # so straight-line Z keeps its two parity blocks and its fold, and the
+    # diagonal kept drift starts with the computational pair's energies
+    p = KerrCatParams.from_alpha2(2.0)
+    s = scheme_z_straight(20.0, 0.4, -0.5, p, n_samples=101)
+    with kernel_calls() as calls, recorded_eigh() as seen:
+        propagate_many(s, SPACE, [0.0], n_steps=60)
+    (drift, ops, _, _), = calls
+    half = propagation.KEPT_STATES // 2
+    # the drift's two blocks are diagonalized once, then the two step stacks
+    assert sorted(shape for _, shape in seen) == [(1, 30, half, half)] * 2 + [(15, 15)] * 2
+    assert np.array_equal(drift, np.diag(np.diag(drift)))
+    spec = diagonalize_labeled(HamiltonianAssembly.build(p, SPACE).drift)
+    assert np.allclose(np.diag(drift)[:2], spec.energies[list(spec.comp_indices)], atol=1e-12)
+    assert all(is_real(op) and keeps_parity(op) for op in ops)
