@@ -104,6 +104,24 @@ def keeps_parity(op: np.ndarray) -> bool:
     return not (np.any(op[0::2, 1::2]) or np.any(op[1::2, 0::2]))
 
 
+#: float64 entries of any stacked array the library holds at once, a complex
+#: entry counting as two: 1 MiB (see :func:`stack_pieces`)
+STACK_ENTRIES = 2**17
+
+
+def stack_pieces(n: int, item_shape, dtype, share: int = 1) -> list[slice]:
+    """Slices of a stack's leading axis of length ``n``, in order, each of bounded size.
+
+    One item along that axis has ``item_shape`` entries of ``dtype``, and a
+    piece holds at most ``STACK_ENTRIES // share`` float64 entries (a complex
+    entry counts as two); the smallest piece is one item. ``share`` splits the
+    bound between stacks held at the same time.
+    """
+    entries = int(np.prod(item_shape)) * np.dtype(dtype).itemsize // 8
+    piece = max(1, STACK_ENTRIES // share // max(1, entries))
+    return [slice(start, min(start + piece, n)) for start in range(0, n, piece)]
+
+
 def present_channels(ops, values):
     """The operators that enter with some non-zero value, and their value columns.
 

@@ -28,7 +28,7 @@ from numbers import Integral
 import numpy as np
 
 from .fidelity import _pair_infidelities
-from .fock import FockSpace
+from .fock import FockSpace, stack_pieces
 from .pulses import PulseSchedule, gap_traces
 
 NOISE_KINDS = ("static", "gaussian-quasistatic", "ornstein-uhlenbeck", "tabulated-psd")
@@ -123,7 +123,9 @@ def sample_noise(noise: NoiseModel, T: float, dt: float, n_traces: int = 1) -> n
 
     OU traces use the exact discrete update of the stationary process, so the
     autocorrelation is exp(-|tau|/tau_c) at any step size. Each trace gets its
-    own derived seed and the ensemble is reproducible given the model's seed.
+    own derived seed, from which its start and kicks are drawn, and the
+    ensemble is reproducible given the model's seed; one loop over the steps
+    updates all traces at once.
     """
     n = int(round(T / dt))
     rng = np.random.default_rng(noise.seed)
@@ -137,17 +139,15 @@ def sample_noise(noise: NoiseModel, T: float, dt: float, n_traces: int = 1) -> n
         tau = noise.parameters["tau_c"]
         decay = np.exp(-dt / tau)
         kick = sigma * np.sqrt(1.0 - decay**2)
+        x, xi = np.empty(n_traces), np.empty((n_traces, n))
+        for i, seed in enumerate(rng.integers(0, 2**63 - 1, size=n_traces)):
+            r = np.random.default_rng(int(seed))
+            x[i] = r.normal(0.0, sigma)
+            xi[i] = r.normal(size=n)
         traces = np.empty((n_traces, n))
-        seeds = rng.integers(0, 2**63 - 1, size=n_traces)
-        for i in range(n_traces):
-            r = np.random.default_rng(int(seeds[i]))
-            x = r.normal(0.0, sigma)
-            xi = r.normal(size=n)
-            tr = np.empty(n)
-            for k in range(n):
-                tr[k] = x
-                x = x * decay + kick * xi[k]
-            traces[i] = tr
+        for k in range(n):
+            traces[:, k] = x
+            x = x * decay + kick * xi[:, k]
         return traces
     raise InvalidNoiseModelError("tabulated-psd noise is not realizable as a sampled trace here")
 
@@ -228,11 +228,19 @@ class FilterFunction:
 
 
 def filter_weight(t: np.ndarray, deriv: np.ndarray, omegas: np.ndarray) -> FilterFunction:
-    """W(omega) = |Fourier transform of the gap-slope trace (t, deriv)|^2 / 4."""
+    """W(omega) = |Fourier transform of the gap-slope trace (t, deriv)|^2 / 4.
+
+    The (omega x t) phase table is taken in the bounded row pieces of
+    :func:`~kerrcat.fock.stack_pieces`, so memory does not grow with the grid
+    size times the trace length; each row's quadrature is the same in any piece.
+    """
     omegas = np.asarray(omegas, dtype=float)
-    phases = np.exp(1j * omegas[:, None] * t[None, :])
-    g = np.trapezoid(phases * deriv[None, :], t, axis=1)
-    return FilterFunction(omegas=omegas, W=np.abs(g) ** 2 / 4.0)
+    W = np.empty(omegas.shape)
+    for piece in stack_pieces(len(omegas), len(t), complex):
+        phases = np.exp(1j * omegas[piece, None] * t[None, :])
+        g = np.trapezoid(phases * deriv[None, :], t, axis=1)
+        W[piece] = np.abs(g) ** 2 / 4.0
+    return FilterFunction(omegas=omegas, W=W)
 
 
 def default_frequency_grid(T: float, n_points: int = 513) -> np.ndarray:

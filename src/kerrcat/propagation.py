@@ -6,7 +6,8 @@ to the running product from the eigendecomposition H = V diag(w) V^H, as
 U <- V (e^{-i w dt} * (V^H U)), without forming the exponential (two real
 products per step when V is real). One kernel stacks the steps of every
 detuning row and calls the batched eigh, which is where nearly all the
-runtime goes; the stacks are taken in time-ordered pieces of bounded size,
+runtime goes; the stacks are taken in time-ordered pieces under the
+library's one bound ``STACK_ENTRIES`` (see :func:`~kerrcat.fock.stack_pieces`),
 so memory does not grow with rows x steps and the result does not depend
 on the piece size. It picks the cheapest exact path from the operators
 that enter H with non-zero values:
@@ -16,7 +17,7 @@ that enter H with non-zero values:
   of half the dimension, with the time-ordered products kept per block.
   The two blocks share no data, so the caller runs the even one while one
   worker thread, created and joined inside the call, runs the odd one;
-  their pieces share the stack budget;
+  their pieces share the stack bound;
 * real -- every operator is real (no ``eps_y``): one real-symmetric stack;
 * general -- complex Hermitian eigh.
 
@@ -45,9 +46,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fock import (FockSpace, InvalidInputError, block_hamiltonians, is_real, keeps_parity,
-                   parity_blocks, present_channels)
+                   parity_blocks, present_channels, stack_pieces)
 from .pulses import PulseSchedule
-from .spectral import _comp_columns, _parity_spectra
+from .spectral import _comp_columns, _parity_spectra, _spectra_pieces
 
 
 @dataclass(frozen=True)
@@ -144,27 +145,21 @@ EDGE_STATES = 4
 #: largest final population of the computational columns on the kept basis's edge
 EDGE_TOL = 1e-10
 
-#: matrix entries (rows x steps x b^2) of the step-stack pieces held at once:
-#: 1 MiB real on the parity and real paths, 2 MiB complex on the general path;
-#: the two concurrent parity blocks take half each
-STACK_ENTRIES = 2**17
-
-
-def _block_steps(drift, ops, values, block, real, dt, entries):
+def _block_steps(drift, ops, values, block, real, dt, share):
     """The ``block``'s step eigenpairs (phases, V) in time order (see :func:`_step_eigenpairs`).
 
     Each step's phases have shape (rows, b) and its V shape (rows, b, b).
-    The steps are diagonalized in time-ordered pieces of at most ``entries``
-    matrix entries, the smallest piece being one step of every row, so the
+    The steps are diagonalized in the time-ordered pieces of
+    :func:`~kerrcat.fock.stack_pieces`, one step of every row being one item
+    and ``share`` the number of blocks diagonalized at the same time, so the
     stack held at once stays bounded however many rows and steps there are.
     Each step's eigenpairs do not depend on the piece they are taken in.
     """
     rows, n_steps, _ = values.shape
     b = len(range(drift.shape[0])[block])
-    piece = max(1, entries // (rows * b * b))
-    for start in range(0, n_steps, piece):
+    for piece in stack_pieces(n_steps, (rows, b, b), float if real else complex, share):
         phases, V = _step_eigenpairs(
-            block_hamiltonians(drift, ops, values[:, start:start + piece], block, real), dt)
+            block_hamiltonians(drift, ops, values[:, piece], block, real), dt)
         for k in range(V.shape[1]):
             yield phases[:, k], V[:, k]
         del phases, V  # free this piece before the next one is diagonalized
@@ -184,8 +179,8 @@ def _propagate_steps(drift, ops, values, dt) -> np.ndarray:
     between the two factors when n is odd.
 
     The caller runs the first block; a second block (the odd parity block)
-    goes to one worker thread that does not outlive the call, and each
-    block's pieces hold at most ``STACK_ENTRIES / len(blocks)`` entries.
+    goes to one worker thread that does not outlive the call, and the
+    blocks share the bound ``STACK_ENTRIES`` on the step stacks held at once.
     """
     batch, n_steps, _ = values.shape
     ops, values = present_channels(ops, values)
@@ -198,11 +193,10 @@ def _propagate_steps(drift, ops, values, dt) -> np.ndarray:
     s = _mirror_signs(drift, ops, values)
     if s is not None:
         values = values[:, :(n_steps + 1) // 2]
-    entries = STACK_ENTRIES // len(blocks)
     U = np.zeros((batch, d, d), dtype=complex)
 
     def block_product(block):
-        steps = _block_steps(drift, ops, values, block, real, dt, entries)
+        steps = _block_steps(drift, ops, values, block, real, dt, len(blocks))
         b = len(range(d)[block])
         prod = np.broadcast_to(np.eye(b, dtype=complex), (batch, b, b)).copy()
         work = np.empty_like(prod)
@@ -336,19 +330,24 @@ def adiabaticity_diagnostic(
     """Max of |<exc| dH/dt |comp>| / (E_exc - E_comp)^2 along the schedule.
 
     Standard Landau-Zener figure of merit; values well below 1 indicate the
-    computational manifold is followed adiabatically.
+    computational manifold is followed adiabatically. The samples are
+    diagonalized in pieces under ``STACK_ENTRIES`` (see
+    :func:`~kerrcat.fock.stack_pieces`) and only a running maximum is kept,
+    so memory does not grow with ``n_samples``.
     """
     t = np.linspace(0.0, schedule.duration, n_samples)
     drift, ops, values = schedule.hamiltonian_table(space, t)
-    energies, states = _parity_spectra(drift, ops, values)
     # dH/dt from the channel envelopes: forward difference, backward at t = T
     rates = np.diff(values, axis=0) / np.diff(t)[:, None]
     rates = np.concatenate([rates, rates[-1:]])
     comp = list(_comp_columns(space.dim))
-    bra = np.swapaxes(states, -1, -2).conj()
-    amps = np.abs(sum(rates[:, j, None, None] * (bra @ (op @ states[..., comp]))
-                      for j, op in enumerate(ops)))
-    gaps = energies[:, :, None] - energies[:, None, comp]
     excited = ~np.isin(np.arange(space.dim), comp)
-    usable = excited[:, None] & (np.abs(gaps) >= 1e-12)
-    return float(np.max(amps / np.where(usable, gaps, np.inf) ** 2))
+    peaks = []
+    for piece, energies, states in _spectra_pieces(drift, ops, values):
+        bra = np.swapaxes(states, -1, -2).conj()
+        amps = np.abs(sum(rates[piece, j, None, None] * (bra @ (op @ states[..., comp]))
+                          for j, op in enumerate(ops)))
+        gaps = energies[:, :, None] - energies[:, None, comp]
+        usable = excited[:, None] & (np.abs(gaps) >= 1e-12)
+        peaks.append(np.max(amps / np.where(usable, gaps, np.inf) ** 2))
+    return float(np.max(peaks))

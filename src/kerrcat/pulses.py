@@ -21,7 +21,8 @@ from typing import Callable
 import numpy as np
 
 from .cats import cat_vectors, matrix_elements
-from .fock import CHANNELS, FockSpace, HamiltonianAssembly, InvalidInputError, KerrCatParams
+from .fock import (CHANNELS, FockSpace, HamiltonianAssembly, InvalidInputError, KerrCatParams,
+                   stack_pieces)
 from .spectral import NoRobustPointError, _comp_columns, _gap_slopes, _parity_spectra
 
 DEFAULT_SAMPLES = 2001
@@ -260,14 +261,21 @@ def _drag_exact(times, eps2_mod, eps2_dot, eps_y, eps_y_dot, params, space):
     the first ceil(n/2) samples are diagonalized and eps_x(T - t) = -eps_x(t).
     Raises AdiabaticityLossError if the smallest squared singular value of the
     pair's overlap with the previous sample's pair (span{C_+, C_-} at t = 0)
-    falls below MIN_SUBSPACE_OVERLAP.
+    falls below MIN_SUBSPACE_OVERLAP. The samples are diagonalized in the
+    bounded pieces of :func:`~kerrcat.fock.stack_pieces` and only the top
+    pair and its split are kept, so memory does not grow with the samples.
     """
     assembly = HamiltonianAssembly.build(params, space)
     h2, hy, hx = (assembly.channels[name] for name in ("eps2_mod", "eps_y", "eps_x"))
     m = (len(times) + 1) // 2
-    H = assembly.drift + eps2_mod[:m, None, None] * h2 + eps_y[:m, None, None] * hy
-    energies, states = np.linalg.eigh(H)
-    pair = states[..., -2:]
+    d = space.dim
+    pair = np.empty((m, d, 2), dtype=complex)
+    split = np.empty(m)
+    for piece in stack_pieces(m, (d, d), complex):
+        H = assembly.drift + eps2_mod[piece, None, None] * h2 + eps_y[piece, None, None] * hy
+        energies, states = np.linalg.eigh(H)
+        pair[piece] = states[..., -2:]
+        split[piece] = energies[:, -1] - energies[:, -2]
 
     cats = cat_vectors(params.alpha, space)
     spans = np.concatenate([np.column_stack([cats.plus_cat, cats.minus_cat])[None], pair])
@@ -281,7 +289,6 @@ def _drag_exact(times, eps2_mod, eps2_dot, eps_y, eps_y_dot, params, space):
     m2, my, mx = np.einsum("ki,oij,kj->ok", pair[..., 0].conj(), np.stack([h2, hy, hx]),
                            pair[..., 1])
     num = eps2_dot[:m] * m2 + eps_y_dot[:m] * my
-    split = energies[:, -1] - energies[:, -2]
     # t = 0 (exactly degenerate pair, zero rates) and any middle sample stay zero
     k = np.arange(1, len(times) // 2)
     eps_x = np.zeros(len(times))

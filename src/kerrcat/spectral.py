@@ -32,6 +32,7 @@ from .fock import (
     is_real,
     parity_blocks,
     present_channels,
+    stack_pieces,
 )
 
 HERMITICITY_TOL = 1e-12
@@ -92,15 +93,12 @@ def _comp_columns(dim: int) -> tuple[int, int]:
     return (dim + 1) // 2 - 1, dim - 1
 
 
-def _parity_spectra(drift: np.ndarray, ops, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Energies and states of H = drift + sum_j values[..., j] ops[j], stacked.
+def _labeled_channels(drift: np.ndarray, ops, values: np.ndarray):
+    """The present channels of a stack to label, their values, and whether all are real.
 
-    Every operator must be Hermitian and commute with parity; each Fock
-    parity block is diagonalized on its own, real-symmetric (real states)
-    when all operators are real. Block order: even sector, then odd, each
-    ascending, so |0>, |1> sit at :func:`_comp_columns` and the next state
-    down in a sector one column before. Each state's largest-magnitude
-    Fock coefficient is real and positive.
+    Raises :class:`InvalidInputError` for a non-finite value or a non-finite
+    or non-Hermitian operator, and :class:`ParityLabelError` for an operator
+    that couples the parity sectors.
     """
     ops, values = present_channels(ops, values)
     if not np.all(np.isfinite(values)):
@@ -112,8 +110,11 @@ def _parity_spectra(drift: np.ndarray, ops, values: np.ndarray) -> tuple[np.ndar
         coupling = np.hypot(np.linalg.norm(op[0::2, 1::2]), np.linalg.norm(op[1::2, 0::2]))
         if 2.0 * coupling > PARITY_COMM_TOL * np.linalg.norm(op):
             raise ParityLabelError("Hamiltonian does not commute with the parity operator")
+    return ops, values, all(is_real(op) for op in (drift, *ops))
 
-    real = all(is_real(op) for op in (drift, *ops))
+
+def _block_spectra(drift: np.ndarray, ops, values: np.ndarray, real: bool):
+    """:func:`_parity_spectra` of channels already checked by :func:`_labeled_channels`."""
     d = drift.shape[-1]
     energies = np.empty((*values.shape[:-1], d))
     states = np.zeros((*values.shape[:-1], d, d), dtype=float if real else complex)
@@ -128,6 +129,35 @@ def _parity_spectra(drift: np.ndarray, ops, values: np.ndarray) -> tuple[np.ndar
     return energies, states
 
 
+def _parity_spectra(drift: np.ndarray, ops, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Energies and states of H = drift + sum_j values[..., j] ops[j], stacked.
+
+    Every operator must be Hermitian and commute with parity; each Fock
+    parity block is diagonalized on its own, real-symmetric (real states)
+    when all operators are real. Block order: even sector, then odd, each
+    ascending, so |0>, |1> sit at :func:`_comp_columns` and the next state
+    down in a sector one column before. Each state's largest-magnitude
+    Fock coefficient is real and positive.
+    """
+    return _block_spectra(drift, *_labeled_channels(drift, ops, values))
+
+
+def _spectra_pieces(drift: np.ndarray, ops, values: np.ndarray):
+    """(piece, energies, states) of :func:`_parity_spectra` over a stack, piece by piece.
+
+    The pieces are :func:`~kerrcat.fock.stack_pieces` of the leading axis of
+    ``values``, one item being that point's d x d states, so the states held
+    at once stay within ``STACK_ENTRIES``. The channels are checked, and the
+    real path chosen, once for the whole stack, so each point's spectrum does
+    not depend on the piece it is taken in.
+    """
+    ops, values, real = _labeled_channels(drift, ops, values)
+    d = drift.shape[-1]
+    for piece in stack_pieces(len(values), (*values.shape[1:-1], d, d),
+                              float if real else complex):
+        yield piece, *_block_spectra(drift, ops, values[piece], real)
+
+
 def _hf_slope(psi0: np.ndarray, psi1: np.ndarray) -> np.ndarray:
     """Hellmann-Feynman gap slope <psi_1|n|psi_1> - <psi_0|n|psi_0> (stackable)."""
     return (np.abs(psi1) ** 2 - np.abs(psi0) ** 2) @ np.arange(psi0.shape[-1])
@@ -136,16 +166,27 @@ def _hf_slope(psi0: np.ndarray, psi1: np.ndarray) -> np.ndarray:
 def _gap_slopes(drift: np.ndarray, ops, values: np.ndarray):
     """E_01, dE_01/ddelta and the smaller parity-sector gap along a stack.
 
-    Arguments as for :func:`_parity_spectra`.
+    Arguments as for :func:`_parity_spectra`. The stack is diagonalized in
+    the bounded pieces of :func:`_spectra_pieces`, and only the gaps and the
+    pair's population shift |psi_1|^2 - |psi_0|^2 (d per point) are kept, so
+    memory does not grow with the stack's length times d^2.
     """
-    energies, states = _parity_spectra(drift, ops, values)
-    i0, i1 = _comp_columns(drift.shape[-1])
+    d = drift.shape[-1]
+    i0, i1 = _comp_columns(d)
+    gap = np.empty(values.shape[:-1])
     sector_gap = np.full(values.shape[:-1], np.inf)
-    for top, size in ((i0, i0 + 1), (i1, i1 - i0)):
-        if size > 1:
-            sector_gap = np.minimum(sector_gap, energies[..., top] - energies[..., top - 1])
-    gap = energies[..., i1] - energies[..., i0]
-    return gap, _hf_slope(states[..., i0], states[..., i1]), sector_gap
+    shift = np.empty((*values.shape[:-1], d))
+    for piece, energies, states in _spectra_pieces(drift, ops, values):
+        for top, size in ((i0, i0 + 1), (i1, i1 - i0)):
+            if size > 1:
+                sector_gap[piece] = np.minimum(sector_gap[piece],
+                                               energies[..., top] - energies[..., top - 1])
+        gap[piece] = energies[..., i1] - energies[..., i0]
+        shift[piece] = np.abs(states[..., i1]) ** 2 - np.abs(states[..., i0]) ** 2
+    # one product over the whole stack, as in _hf_slope: BLAS groups a
+    # matrix-vector product's rows by the stack's length, so a product per
+    # piece can differ in the last bit
+    return gap, shift @ np.arange(d), sector_gap
 
 
 def diagonalize_labeled(H: np.ndarray) -> LabeledSpectrum:

@@ -1,5 +1,6 @@
 import sys
 import threading
+import tracemalloc
 from contextlib import contextmanager
 from dataclasses import replace
 from unittest import mock
@@ -11,17 +12,18 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from kerrcat.fidelity import computational_pair, infidelity
-from kerrcat import propagation
+from kerrcat import fock, propagation
 from kerrcat.fock import (FockSpace, HamiltonianAssembly, InvalidInputError, KerrCatParams,
                           block_hamiltonians, is_real, keeps_parity, parity_blocks,
                           parity_operator, present_channels)
-from kerrcat.noise import NoiseModel, sample_noise
+from kerrcat.noise import NoiseModel, default_frequency_grid, filter_weight, sample_noise
 from kerrcat.propagation import (_apply_step, _propagate_steps, _step_eigenpairs,
                                  adiabaticity_diagnostic, propagate, propagate_many,
                                  propagate_noise_trace)
-from kerrcat.pulses import (PulseSchedule, idle_schedule, rot_z, scheme_kerr_gate,
-                            scheme_x, scheme_y_drag, scheme_z_straight, seed_eps_x0)
-from kerrcat.spectral import diagonalize_labeled
+from kerrcat.pulses import (PulseSchedule, _drag_exact, gap_traces, idle_schedule, rot_z,
+                            scheme_kerr_gate, scheme_x, scheme_y_drag, scheme_z_straight,
+                            seed_eps_x0, truncated_gaussian, truncated_gaussian_deriv)
+from kerrcat.spectral import _gap_slopes, diagonalize_labeled
 
 SPACE = FockSpace(30)
 
@@ -55,6 +57,11 @@ def recorded_eigh():
 
     with mock.patch.object(np.linalg, "eigh", recording_eigh):
         yield seen
+
+
+def _float_entries(dtype, shape) -> int:
+    """float64 entries of a stack of ``shape`` and ``dtype``, a complex entry counting twice."""
+    return int(np.prod(shape)) * np.dtype(dtype).itemsize // 8
 
 
 @contextmanager
@@ -436,10 +443,10 @@ def test_pieced_kernel_equals_unpieced(kind, dim, half, odd, batch, seed, budget
     make = _random_channels if family == "structure" else _mirrored_channels
     asm, ops, values = make(name, dim, 2 * half + odd, batch, seed)
     whole = _propagate_steps(asm.drift, ops, values, 0.1)
-    with mock.patch.object(propagation, "STACK_ENTRIES", budget), recorded_eigh() as seen:
+    with mock.patch.object(fock, "STACK_ENTRIES", budget), recorded_eigh() as seen:
         pieced = _propagate_steps(asm.drift, ops, values, 0.1)
     assert np.array_equal(pieced, whole)
-    assert all(np.prod(shape) <= budget or shape[1] == 1 for _, shape in seen)
+    assert all(_float_entries(dtype, shape) <= budget or shape[1] == 1 for dtype, shape in seen)
 
 
 @pytest.mark.parametrize("kind, dim, batch, budget", [
@@ -451,17 +458,100 @@ def test_pieced_kernel_equals_unpieced(kind, dim, half, odd, batch, seed, budget
 ])
 def test_step_stacks_bounded_on_long_tables(kind, dim, batch, budget):
     asm, ops, values = _random_channels(kind, dim, 600, batch, seed=8)
-    limit = propagation.STACK_ENTRIES if budget is None else budget
-    with mock.patch.object(propagation, "STACK_ENTRIES", limit), recorded_eigh() as seen:
+    limit = fock.STACK_ENTRIES if budget is None else budget
+    with mock.patch.object(fock, "STACK_ENTRIES", limit), recorded_eigh() as seen:
         _propagate_steps(asm.drift, ops, values, 0.01)
     blocks = 2 if kind == "parity" else 1
     assert len(seen) > blocks  # the stacks were split
     assert sum(shape[1] for _, shape in seen) == blocks * 600
-    for _, shape in seen:
-        assert np.prod(shape) <= limit or shape[1] == 1
+    for dtype, shape in seen:
+        # a complex entry counts as two float64 entries
+        assert _float_entries(dtype, shape) <= limit or shape[1] == 1
+        assert (dtype is np.complex128) == (kind == "general")
         assert shape[0] == batch
         if kind == "parity":  # the two concurrent blocks share the budget
             assert np.prod(shape) <= limit // 2 or shape[1] == 1
+
+
+def _outcome(compute):
+    """``compute()``'s result, or the type and message of what it raised."""
+    try:
+        return compute()
+    except Exception as exc:  # both piecings must raise alike
+        return type(exc), str(exc)
+
+
+def _same(a, b) -> bool:
+    if isinstance(a, tuple) and isinstance(b, tuple):
+        return len(a) == len(b) and all(_same(x, y) for x, y in zip(a, b))
+    return np.array_equal(a, b)
+
+
+@settings(max_examples=40, deadline=None)
+@given(dim=st.integers(2, 12), n=st.integers(2, 60), alpha2=st.floats(0.5, 1.5),
+       gauge=st.booleans(), seed=st.integers(0, 2**32 - 1), budget=st.integers(1, 4000))
+def test_pieced_spectral_reducers_equal_one_piece(dim, n, alpha2, gauge, seed, budget):
+    # the slope trace, exact DRAG, the adiabaticity maximum and the filter
+    # weight taken in pieces of at most ``budget`` float64 entries (a complex
+    # entry counting twice; at least one item) equal their one-piece results
+    # bit for bit
+    rng = np.random.default_rng(seed)
+    p = KerrCatParams.from_alpha2(alpha2)
+    space = FockSpace(dim)
+    asm = HamiltonianAssembly.build(p, space)
+    ops = [asm.channels["delta"], asm.channels["eps2_mod"]]
+    drift = asm.drift
+    if gauge:  # a diagonal phase gauge makes the labeled stack complex
+        D = np.diag(np.exp(1j * rng.uniform(0.0, 2 * np.pi, dim)))
+        drift, ops = D @ drift @ D.conj().T, [D @ op @ D.conj().T for op in ops]
+    values = rng.uniform(-0.5, 0.5, size=(n, len(ops)))
+    T = rng.uniform(5.0, 20.0)
+    times = np.linspace(0.0, T, n)
+    f, fdot = truncated_gaussian(times, T), truncated_gaussian_deriv(times, T)
+    ey0, r0 = rng.uniform(0.1, 1.0), rng.uniform(-0.5, 0.0)
+    z = scheme_z_straight(T, rng.uniform(0.0, 0.8), r0, p, n_samples=n)
+    t = np.sort(rng.uniform(0.0, T, n))
+    deriv = rng.standard_normal(n)
+    omegas = rng.uniform(-5.0, 5.0, rng.integers(1, 80))
+    reducers = {
+        "gap slopes": lambda: _gap_slopes(drift, ops, values),
+        # 13 more levels hold the cat of alpha^2 <= 1.5 (cats.TruncationError)
+        "exact DRAG": lambda: _drag_exact(times, r0 * f, r0 * fdot, ey0 * f, ey0 * fdot,
+                                          p, FockSpace(dim + 13)),
+        "adiabaticity": lambda: adiabaticity_diagnostic(z, space, n_samples=n),
+        "filter weight": lambda: filter_weight(t, deriv, omegas).W,
+    }
+    for name, compute in reducers.items():
+        with mock.patch.object(fock, "STACK_ENTRIES", 2**60):
+            whole = _outcome(compute)
+        with mock.patch.object(fock, "STACK_ENTRIES", budget), recorded_eigh() as seen:
+            pieced = _outcome(compute)
+        assert _same(pieced, whole), name
+        assert all(_float_entries(dtype, shape) <= budget or shape[0] == 1
+                   for dtype, shape in seen), name
+
+
+def test_stacked_spectra_peak_memory_bounded():
+    # at the schedules' default 2001 samples and dim 40, unpieced stacks take
+    # 44 MiB (slope trace), 52 MiB (exact DRAG) and 63 MiB (filter weight)
+    space = FockSpace(40)
+    p = KerrCatParams.from_alpha2(2.0)
+    z = scheme_z_straight(30.0, 0.58872, -1.07378, p)
+    t, _, deriv = gap_traces(z, space, n_samples=2001)
+    runs = {
+        "gap_traces": lambda: gap_traces(z, space, n_samples=2001),
+        "exact-DRAG scheme_y_drag": lambda: scheme_y_drag(20.0, 1.2, -0.5, p, space,
+                                                          drag_mode="exact"),
+        "filter_weight": lambda: filter_weight(t, deriv, default_frequency_grid(30.0)),
+    }
+    for name, run in runs.items():
+        tracemalloc.start()
+        try:
+            run()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * 2**20, f"{name}: peak {peak / 2**20:.1f} MiB"
 
 
 @pytest.mark.parametrize("kind, size, in_worker, workers", [
