@@ -115,12 +115,14 @@ def load_config(spec: str | None, overrides: dict) -> dict:
         raise ConfigError(f"delta_max must be a finite positive number, got {delta_max!r}")
     # keys without a default are checked only when given: one would change every config hash
     for key, low in (("fock_dim", 2), ("n_steps", 1), ("n_nodes", 3), ("n_traces", 1),
-                     ("n_delta", 1), ("n_alpha2", 1)):
+                     ("n_delta", 1), ("n_alpha2", 1), ("coarse_n", 1), ("refine_rounds", 0)):
         if key in cfg and (isinstance(cfg[key], bool) or not isinstance(cfg[key], int)
                            or cfg[key] < low):
             raise ConfigError(f"{key} must be an integer >= {low}, got {cfg[key]!r}")
     if cfg["n_nodes"] % 2 == 0:
         raise ConfigError(f"n_nodes must be odd, got {cfg['n_nodes']}")
+    if cfg["drag_mode"] not in ("off", "approx", "exact"):
+        raise ConfigError(f"drag_mode must be off, approx or exact, got {cfg['drag_mode']!r}")
     for key in ("alpha2_list", "T_list"):
         if key in cfg and not cfg[key]:
             raise ConfigError(f"{key} must be non-empty")

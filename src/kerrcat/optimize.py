@@ -90,9 +90,14 @@ def grid_search(
 
     ``evaluate`` maps keyword arguments named after ``space.names`` to the
     score. Ties break toward the earlier lattice point (lexicographic
-    parameter order), so identical inputs give identical records. Each refinement round re-centers a box ``SHRINK`` times smaller
-    on the incumbent, clipped to the original bounds.
+    parameter order), so identical inputs give identical records. Each
+    refinement round re-centers a box ``SHRINK`` times smaller on the
+    incumbent, clipped to the original bounds. An empty lattice
+    (``coarse_n`` < 1 or ``refine_rounds`` < 0) raises ValueError.
     """
+    for name, value, low in (("coarse_n", coarse_n, 1), ("refine_rounds", refine_rounds, 0)):
+        if value < low:
+            raise ValueError(f"{name} must be >= {low}, got {value}")
     lo0 = np.asarray(space.lower, dtype=float)
     hi0 = np.asarray(space.upper, dtype=float)
     lo, hi = lo0.copy(), hi0.copy()

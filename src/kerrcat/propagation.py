@@ -27,9 +27,9 @@ half of the steps (the gate envelopes are symmetric about T/2).
 
 :func:`propagate_many` runs the kernel in a kept basis when the Fock
 dimension d exceeds ``KEPT_STATES`` and the drift is real and keeps parity
-(every single-mode schedule): the drift's parity blocks are diagonalized
-once, and the top M/2 states of each block (M = ``KEPT_STATES``) are kept,
-interleaved even, odd, even, ... in descending energy, so index parity is
+(every single-mode schedule): the drift is diagonalized once, and its top
+``KEPT_STATES`` ladder states, the first columns of
+:func:`~kerrcat.spectral._parity_spectra`, are kept, so index parity is
 photon parity and kept columns 0 and 1 are the computational pair. The kernel propagates
 diag(E) + sum_j v_j V^T O_j V, and the result is lifted back as
 U = V U_M V^T + (1 - V V^T): unitary, and the identity on the discarded
@@ -48,7 +48,7 @@ import numpy as np
 from .fock import (FockSpace, InvalidInputError, block_hamiltonians, is_real, keeps_parity,
                    parity_blocks, present_channels, stack_pieces)
 from .pulses import PulseSchedule
-from .spectral import _comp_columns, _parity_spectra, _spectra_pieces
+from .spectral import _parity_spectra, _spectra_pieces
 
 
 @dataclass(frozen=True)
@@ -231,13 +231,8 @@ def _kept_propagate(drift, ops, values, dt) -> np.ndarray:
     if d <= KEPT_STATES or not (is_real(drift) and keeps_parity(drift)):
         return _propagate_steps(drift, ops, values, dt)
     energies, states = _parity_spectra(drift, [], np.empty(0))
-    # block order is even then odd, each ascending (see _parity_spectra)
-    order = np.empty(d, dtype=int)
-    order[0::2] = np.arange((d + 1) // 2)[::-1]
-    order[1::2] = np.arange((d + 1) // 2, d)[::-1]
-    kept = order[:KEPT_STATES]
-    V = states[:, kept]
-    U = _propagate_steps(np.diag(energies[kept]), [V.T @ op @ V for op in ops], values, dt)
+    E, V = energies[:KEPT_STATES], states[:, :KEPT_STATES]
+    U = _propagate_steps(np.diag(E), [V.T @ op @ V for op in ops], values, dt)
     edge = np.sum(np.abs(U[:, -EDGE_STATES:, :2]) ** 2, axis=(1, 2))
     if np.max(edge) > EDGE_TOL:
         return _propagate_steps(drift, ops, values, dt)
@@ -272,8 +267,7 @@ def propagate_many(
     any other shape raise :class:`InvalidInputError`.
 
     Above ``KEPT_STATES`` Fock levels the kernel runs in the drift's top
-    eigenstates, ``KEPT_STATES`` / 2 of each parity block interleaved even,
-    odd, ... in descending energy (columns 0 and 1 are the computational pair), and the
+    ``KEPT_STATES`` ladder states (columns 0 and 1 are the computational pair), and the
     propagators are lifted back as V U_M V^T + (1 - V V^T), the identity on
     the states not kept. The gate reads the final population of columns 0
     and 1 on the last ``EDGE_STATES`` kept states; above ``EDGE_TOL`` the
@@ -340,8 +334,8 @@ def adiabaticity_diagnostic(
     # dH/dt from the channel envelopes: forward difference, backward at t = T
     rates = np.diff(values, axis=0) / np.diff(t)[:, None]
     rates = np.concatenate([rates, rates[-1:]])
-    comp = list(_comp_columns(space.dim))
-    excited = ~np.isin(np.arange(space.dim), comp)
+    comp = [0, 1]  # the columns of |0>, |1> (see _parity_spectra)
+    excited = np.arange(space.dim) >= 2
     peaks = []
     for piece, energies, states in _spectra_pieces(drift, ops, values):
         bra = np.swapaxes(states, -1, -2).conj()

@@ -23,7 +23,7 @@ import numpy as np
 from .cats import cat_vectors, matrix_elements
 from .fock import (CHANNELS, FockSpace, HamiltonianAssembly, InvalidInputError, KerrCatParams,
                    stack_pieces)
-from .spectral import NoRobustPointError, _comp_columns, _gap_slopes, _parity_spectra
+from .spectral import NoRobustPointError, _gap_slopes, _parity_spectra
 
 DEFAULT_SAMPLES = 2001
 
@@ -225,12 +225,10 @@ def _instantaneous_cat_tables(alpha2_values: np.ndarray, params: KerrCatParams, 
     hy_op = 2.0 * assembly.channels["eps_y"]  # -i (a - a^dag)
     energies, states = _parity_spectra(assembly.drift, [assembly.channels["eps2_mod"]],
                                        (grid * params.kerr)[:, None])
-    i0, i1 = _comp_columns(space.dim)
-    i2, i3 = i0 - 1, i1 - 1  # next state down in each parity sector
-    bras, kets = states[..., [i2, i3]].conj(), states[..., [i1, i0]]
+    # columns 0, 1 are |0>, |1> and 2, 3 the next state down in each parity sector
+    bras, kets = states[..., [2, 3]].conj(), states[..., [1, 0]]
     h12, h03 = np.abs(np.einsum("kin,ij,kjn->nk", bras, hy_op, kets))
-    e2 = energies[:, i2] - energies[:, i0]
-    e3 = energies[:, i3] - energies[:, i1]
+    e2, e3 = (energies[:, 2:4] - energies[:, :2]).T
     return grid, h12, h03, e2, e3
 
 

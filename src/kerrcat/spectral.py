@@ -57,8 +57,9 @@ class IllConditionedError(RuntimeError):
 class LabeledSpectrum:
     """Eigendecomposition with parity labels and computational-state indices.
 
-    energies ascend; ``states[:, k]`` matches ``energies[k]``.
-    ``comp_indices = (i0, i1)`` locate the computational states: the
+    energies ascend; ``states[:, k]`` matches ``energies[k]``. Equal
+    energies keep even before odd, and within a sector the eigensolver's
+    order. ``comp_indices = (i0, i1)`` locate the computational states: the
     even- and odd-parity states of highest energy.
     """
 
@@ -88,11 +89,6 @@ class LabeledSpectrum:
         return out if count is None else out[:count]
 
 
-def _comp_columns(dim: int) -> tuple[int, int]:
-    """Columns of |0> and |1> in the block order of :func:`_parity_spectra`."""
-    return (dim + 1) // 2 - 1, dim - 1
-
-
 def _labeled_channels(drift: np.ndarray, ops, values: np.ndarray):
     """The present channels of a stack to label, their values, and whether all are real.
 
@@ -118,14 +114,12 @@ def _block_spectra(drift: np.ndarray, ops, values: np.ndarray, real: bool):
     d = drift.shape[-1]
     energies = np.empty((*values.shape[:-1], d))
     states = np.zeros((*values.shape[:-1], d, d), dtype=float if real else complex)
-    column = 0
     for block in parity_blocks(d):
         w, V = np.linalg.eigh(block_hamiltonians(drift, ops, values, block, real))
         pivot = np.take_along_axis(V, np.argmax(np.abs(V), axis=-2)[..., None, :], axis=-2)
-        cols = slice(column, column + w.shape[-1])
-        energies[..., cols] = w
-        states[..., block, cols] = V / (pivot / np.abs(pivot))
-        column += w.shape[-1]
+        # a sector's columns are its Fock rows, filled from the top state down
+        energies[..., block] = w[..., ::-1]
+        states[..., block, block] = (V / (pivot / np.abs(pivot)))[..., ::-1]
     return energies, states
 
 
@@ -134,10 +128,11 @@ def _parity_spectra(drift: np.ndarray, ops, values: np.ndarray) -> tuple[np.ndar
 
     Every operator must be Hermitian and commute with parity; each Fock
     parity block is diagonalized on its own, real-symmetric (real states)
-    when all operators are real. Block order: even sector, then odd, each
-    ascending, so |0>, |1> sit at :func:`_comp_columns` and the next state
-    down in a sector one column before. Each state's largest-magnitude
-    Fock coefficient is real and positive.
+    when all operators are real. The columns follow the cat ladder: column
+    k is the (k // 2)-th state below the top of the sector of parity
+    (-1)^k, so |0>, |1> are columns 0 and 1, and the next state down in
+    each sector is column 2 or 3. Each state's largest-magnitude Fock
+    coefficient is real and positive.
     """
     return _block_spectra(drift, *_labeled_channels(drift, ops, values))
 
@@ -172,17 +167,15 @@ def _gap_slopes(drift: np.ndarray, ops, values: np.ndarray):
     memory does not grow with the stack's length times d^2.
     """
     d = drift.shape[-1]
-    i0, i1 = _comp_columns(d)
     gap = np.empty(values.shape[:-1])
-    sector_gap = np.full(values.shape[:-1], np.inf)
+    sector_gap = np.empty(values.shape[:-1])
     shift = np.empty((*values.shape[:-1], d))
     for piece, energies, states in _spectra_pieces(drift, ops, values):
-        for top, size in ((i0, i0 + 1), (i1, i1 - i0)):
-            if size > 1:
-                sector_gap[piece] = np.minimum(sector_gap[piece],
-                                               energies[..., top] - energies[..., top - 1])
-        gap[piece] = energies[..., i1] - energies[..., i0]
-        shift[piece] = np.abs(states[..., i1]) ** 2 - np.abs(states[..., i0]) ** 2
+        below = energies[..., 2:4]  # the next state down in each sector, if any
+        sector_gap[piece] = np.min(energies[..., :below.shape[-1]] - below, axis=-1,
+                                   initial=np.inf)
+        gap[piece] = energies[..., 1] - energies[..., 0]
+        shift[piece] = np.abs(states[..., 1]) ** 2 - np.abs(states[..., 0]) ** 2
     # one product over the whole stack, as in _hf_slope: BLAS groups a
     # matrix-vector product's rows by the stack's length, so a product per
     # piece can differ in the last bit
@@ -195,15 +188,15 @@ def diagonalize_labeled(H: np.ndarray) -> LabeledSpectrum:
     The even and odd Fock sectors are diagonalized separately, so the labels
     are exact also at the delta = 0 degeneracy point.
     """
-    d = H.shape[-1]
     energies, states = _parity_spectra(H, [], np.empty(0))
-    parities = np.where(np.arange(d) <= _comp_columns(d)[0], 1, -1)
-    order = np.argsort(energies, kind="stable")
-    rank = np.argsort(order)
-    i0, i1 = (int(rank[i]) for i in _comp_columns(d))
+    column = np.arange(H.shape[-1])
+    odd = column % 2
+    # ties: even before odd, and within a sector in the eigensolver's ascending order
+    order = np.lexsort((-column, odd, energies))
+    i0, i1 = (int(i) for i in np.argsort(order)[:2])
     return LabeledSpectrum(energies=energies[order],
                            states=states[:, order].astype(np.result_type(H, float)),
-                           parities=parities[order], comp_indices=(i0, i1))
+                           parities=(1 - 2 * odd)[order], comp_indices=(i0, i1))
 
 
 def spectrum_at(params: KerrCatParams, delta_shift: float, space: FockSpace) -> LabeledSpectrum:

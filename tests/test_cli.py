@@ -43,7 +43,11 @@ def test_load_config_errors(tmp_path):
                                  {"n_alpha2": 0}, {"n_alpha2": "abc"}, {"n_alpha2": 2.5},
                                  {"delta_max": True}, {"fock_dim": True}, {"n_steps": True},
                                  {"n_nodes": True}, {"n_traces": True}, {"n_delta": True},
-                                 {"n_alpha2": True}, {"n_steps": False}]):
+                                 {"n_alpha2": True}, {"n_steps": False},
+                                 {"coarse_n": 0}, {"coarse_n": 2.5}, {"coarse_n": True},
+                                 {"refine_rounds": -1}, {"refine_rounds": "2"},
+                                 {"refine_rounds": False}, {"drag_mode": "exactt"},
+                                 {"drag_mode": None}]):
         path = tmp_path / f"invalid{i}.json"
         path.write_text(json.dumps(entries))
         with pytest.raises(ConfigError, match=next(iter(entries))):
@@ -135,6 +139,20 @@ def test_gate_sweep_unknown_scheme_is_config_error(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["--config", str(cfg), "--out", str(out), "gate-sweep"]) == 1
     assert "unknown scheme 'Q'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("entries", [{"coarse_n": 0}, {"refine_rounds": -1},
+                                     {"drag_mode": "exactt"}])
+def test_gate_sweep_config_fault_exits_1(tmp_path, capsys, entries):
+    # each would otherwise record every point as a failure and exit 0
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"scheme": "Y_DRAG", "alpha2_list": [2.0], "T_list": [15.0],
+                               "fock_dim": 14, **entries}))
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg), "--out", str(out), "gate-sweep"]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and next(iter(entries)) in err
     assert not out.exists()
 
 

@@ -1,11 +1,12 @@
 import dataclasses
+import warnings
 from unittest import mock
 
 import numpy as np
 import pytest
 
 from kerrcat import propagation
-from kerrcat.fock import FockSpace, KerrCatParams
+from kerrcat.fock import FockSpace, InvalidInputError, KerrCatParams
 from kerrcat.noise import (CoverageWarning, FilterFunction, InvalidNoiseModelError,
                            NoiseModel, angle_error_functional,
                            default_frequency_grid, filter_weight,
@@ -242,6 +243,30 @@ def test_monte_carlo_needs_a_trace(n_traces):
     noise = NoiseModel("static", {"value": 1e-3})
     with pytest.raises(ValueError, match="n_traces"):
         monte_carlo_infidelity(sched, noise, FockSpace(10), n_traces=n_traces, n_steps=20)
+
+
+@pytest.mark.parametrize("bad, name", [({"n_steps": 0}, "n_steps"),
+                                       ({"n_steps": -3}, "n_steps"),
+                                       ({"n_traces": 0}, "n_traces")])
+def test_monte_carlo_input_faults_are_typed(bad, name):
+    sched = idle_schedule(5.0, KerrCatParams.from_alpha2(1.0), n_samples=21)
+    noise = NoiseModel("ornstein-uhlenbeck", {"sigma": 1e-3, "tau_c": 10.0})
+    kwargs = {"n_traces": 2, "n_steps": 20, **bad}
+    with mock.patch("kerrcat.noise.sample_noise") as sampler, warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidInputError, match=name):
+            monte_carlo_infidelity(sched, noise, FockSpace(10), **kwargs)
+    sampler.assert_not_called()
+
+
+@pytest.mark.parametrize("kind, parameters", [("static", {"value": 1e-3}),
+                                              ("ornstein-uhlenbeck", {"sigma": 1.0, "tau_c": 2.0})])
+@pytest.mark.parametrize("dt", [0.0, -0.1, float("nan"), float("inf")])
+def test_sample_noise_needs_a_positive_step(kind, parameters, dt):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidInputError, match="dt"):
+            sample_noise(NoiseModel(kind, parameters), T=1.0, dt=dt, n_traces=2)
 
 
 @pytest.mark.parametrize("kind, parameters", [

@@ -44,6 +44,16 @@ def test_refinement_monotone():
     assert per_round[-1] < per_round[0]
 
 
+@pytest.mark.parametrize("kwargs, name", [({"coarse_n": 0}, "coarse_n"),
+                                          ({"refine_rounds": -1}, "refine_rounds")])
+def test_empty_lattice_rejected(kwargs, name):
+    calls = []
+    ps = ParamSpace.from_dict({"x": (0.0, 1.0), "y": (-1.0, 0.0)})
+    with pytest.raises(ValueError, match=name):
+        grid_search(lambda **kw: calls.append(kw) or 0.0, ps, **kwargs)
+    assert not calls
+
+
 def test_determinism():
     ps = ParamSpace.from_dict({"x": (0.0, 2.0), "y": (0.0, 2.0)})
     rec1 = grid_search(quad_objective, ps, coarse_n=7, refine_rounds=2)

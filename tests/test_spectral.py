@@ -166,15 +166,14 @@ def test_stacked_kernel_rows_equal_single_calls(dim, batch, n_ops, complex_, see
     drift, *ops = _random_parity_operators(dim, 1 + n_ops, complex_, rng)
     values = rng.uniform(-1.0, 1.0, size=(batch, n_ops))
     energies, states = _parity_spectra(drift, ops, values)
-    m = (dim + 1) // 2
     for b in range(batch):
         H = drift + sum(v * op for v, op in zip(values[b], ops))
         spec = diagonalize_labeled(H)
         order = np.argsort(energies[b], kind="stable")
         assert np.allclose(spec.energies, energies[b][order], rtol=0, atol=1e-12)
         assert np.allclose(spec.states, states[b][:, order], rtol=0, atol=1e-12)
-        assert spec.comp_indices == (int(np.flatnonzero(order == m - 1)[0]),
-                                     int(np.flatnonzero(order == dim - 1)[0]))
+        assert spec.comp_indices == (int(np.flatnonzero(order == 0)[0]),
+                                     int(np.flatnonzero(order == 1)[0]))
         # an exact eigensystem: orthonormal, eigen-equation, pure parity
         V = spec.states
         assert np.allclose(V.conj().T @ V, np.eye(dim), atol=1e-12)
@@ -184,6 +183,25 @@ def test_stacked_kernel_rows_equal_single_calls(dim, batch, n_ops, complex_, see
         # gauge: the largest-magnitude Fock coefficient is real and positive
         pivots = V[np.argmax(np.abs(V), axis=0), np.arange(dim)]
         assert np.all(pivots.real > 0) and np.all(np.abs(pivots.imag) < 1e-14)
+
+
+@settings(max_examples=40, deadline=None)
+@given(dim=st.integers(2, 12), batch=st.integers(1, 3), complex_=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_spectrum_columns_follow_the_cat_ladder(dim, batch, complex_, seed):
+    # column k is the (k // 2)-th state below the top of the sector of parity
+    # (-1)^k, so |0>, |1> are columns 0 and 1 of every stacked spectrum
+    rng = np.random.default_rng(seed)
+    drift, op = _random_parity_operators(dim, 2, complex_, rng)
+    values = rng.uniform(-1.0, 1.0, size=(batch, 1))
+    energies, states = _parity_spectra(drift, [op], values)
+    k = np.arange(dim)
+    assert np.all(states[:, np.add.outer(k, k) % 2 == 1] == 0)
+    assert np.all(energies[:, 2:] < energies[:, :-2])
+    for b in range(batch):
+        spec = diagonalize_labeled(drift + values[b, 0] * op)
+        assert np.array_equal(spec.psi0, states[b, :, 0])
+        assert np.array_equal(spec.psi1, states[b, :, 1])
 
 
 def test_gap_derivative_ill_conditioned_guard():
