@@ -11,7 +11,9 @@ Subcommands
 Configs are JSON files; a handful of named presets reproduce the standard
 sweep families. Every output carries the package version and a hash of the
 resolved config, and reruns with the same config and seed are byte-identical.
-A config fault exits 1 and a numerical failure exits 2. The Z_ROBUSTLINE
+A config fault exits 1 and a numerical failure exits 2; an ``alpha2``, ``alpha2_A``,
+``alpha2_B`` or ``alpha2_list`` entry that is not a finite number >= 0, or a ``T`` or
+``T_list`` entry that is not a finite number > 0, is a config fault. The Z_ROBUSTLINE
 scheme builds its robust-line table for each sweep point.
 """
 
@@ -108,11 +110,7 @@ def load_config(spec: str | None, overrides: dict) -> dict:
             except json.JSONDecodeError as exc:
                 raise ConfigError(f"malformed config: {exc}") from exc
     cfg.update({k: v for k, v in overrides.items() if v is not None})
-    delta_max = cfg["delta_max"]
-    # JSON true and false load as bool, a subclass of int, so each check rejects bool itself
-    if (isinstance(delta_max, bool) or not isinstance(delta_max, (int, float))
-            or not 0 < delta_max < float("inf")):
-        raise ConfigError(f"delta_max must be a finite positive number, got {delta_max!r}")
+    # JSON true and false load as bool, a subclass of int, so each check rejects bool itself;
     # keys without a default are checked only when given: one would change every config hash
     for key, low in (("fock_dim", 2), ("n_steps", 1), ("n_nodes", 3), ("n_traces", 1),
                      ("n_delta", 1), ("n_alpha2", 1), ("coarse_n", 1), ("refine_rounds", 0)):
@@ -123,9 +121,19 @@ def load_config(spec: str | None, overrides: dict) -> dict:
         raise ConfigError(f"n_nodes must be odd, got {cfg['n_nodes']}")
     if cfg["drag_mode"] not in ("off", "approx", "exact"):
         raise ConfigError(f"drag_mode must be off, approx or exact, got {cfg['drag_mode']!r}")
-    for key in ("alpha2_list", "T_list"):
-        if key in cfg and not cfg[key]:
-            raise ConfigError(f"{key} must be non-empty")
+    # a cat size may be 0, the bare oscillator
+    for key, bound in (("delta_max", "> 0"), ("alpha2", ">= 0"), ("alpha2_A", ">= 0"),
+                       ("alpha2_B", ">= 0"), ("alpha2_list", ">= 0"), ("T", "> 0"),
+                       ("T_list", "> 0")):
+        if key not in cfg:
+            continue
+        listed = key.endswith("_list")
+        entries = cfg[key] if listed else [cfg[key]]
+        if not (isinstance(entries, list) and entries) or any(
+                isinstance(v, bool) or not isinstance(v, (int, float)) or not v < float("inf")
+                or not (v > 0 if bound == "> 0" else v >= 0) for v in entries):
+            kind = "a non-empty list of finite numbers" if listed else "a finite number"
+            raise ConfigError(f"{key} must be {kind} {bound}, got {cfg[key]!r}")
     return cfg
 
 

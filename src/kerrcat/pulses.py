@@ -45,21 +45,25 @@ class AdiabaticityLossError(RuntimeError):
 _EDGE = np.exp(-1.0 / 8.0)
 
 
-def truncated_gaussian(t, T: float):
-    """Truncated Gaussian envelope with sigma = T and exponent 2 on [0, T]."""
+def _envelope_times(t, T: float) -> np.ndarray:
+    """``t`` as a float array; raises ``ValueError`` outside the support [0, T]."""
     t = np.asarray(t, dtype=float)
     if np.any(t < -1e-12) or np.any(t > T + 1e-12):
         raise ValueError("t outside [0, T]")
-    u = t / T - 0.5
+    return t
+
+
+def truncated_gaussian(t, T: float):
+    """Truncated Gaussian envelope with sigma = T and exponent 2 on [0, T]."""
+    u = _envelope_times(t, T) / T - 0.5
     g = (np.exp(-0.5 * u**2) - _EDGE) / (1.0 - _EDGE)
     out = g**2
     return float(out) if out.ndim == 0 else out
 
 
 def truncated_gaussian_deriv(t, T: float):
-    """Analytic time derivative of :func:`truncated_gaussian`."""
-    t = np.asarray(t, dtype=float)
-    u = t / T - 0.5
+    """Analytic time derivative of :func:`truncated_gaussian`, on the same support."""
+    u = _envelope_times(t, T) / T - 0.5
     g = (np.exp(-0.5 * u**2) - _EDGE) / (1.0 - _EDGE)
     gdot = -u / T * np.exp(-0.5 * u**2) / (1.0 - _EDGE)
     out = 2.0 * g * gdot
@@ -156,10 +160,15 @@ class PulseSchedule:
 
         One column per channel, ``delta`` first (zero when the schedule has
         none), then the schedule's other channels in their order. Raises
-        :class:`InvalidInputError` when a time or a channel sample is not finite.
+        :class:`InvalidInputError` when a time or a channel sample is not
+        finite, or when ``times`` is not a grid of at least 2 samples that
+        starts at 0 and strictly increases.
         """
         if not all(np.all(np.isfinite(v)) for v in (self.times, *self.channels.values())):
             raise InvalidInputError(f"{self.scheme} schedule has a non-finite time or sample")
+        if len(self.times) < 2 or self.times[0] != 0 or np.any(np.diff(self.times) <= 0):
+            raise InvalidInputError(f"{self.scheme} schedule times must start at 0 and strictly "
+                                    f"increase over at least 2 samples")
         assembly = HamiltonianAssembly.build(self.base, space)
         names = ["delta", *(c for c in self.channels if c != "delta")]
         values = np.column_stack([self.channel_at(name, t) for name in names])

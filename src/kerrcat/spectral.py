@@ -55,38 +55,28 @@ class IllConditionedError(RuntimeError):
 
 @dataclass(frozen=True)
 class LabeledSpectrum:
-    """Eigendecomposition with parity labels and computational-state indices.
+    """Eigendecomposition in the cat-ladder layout of :func:`_parity_spectra`.
 
-    energies ascend; ``states[:, k]`` matches ``energies[k]``. Equal
-    energies keep even before odd, and within a sector the eigensolver's
-    order. ``comp_indices = (i0, i1)`` locate the computational states: the
-    even- and odd-parity states of highest energy.
+    ``states[:, k]`` and ``energies[k]`` belong to the (k // 2)-th state
+    below the top of the sector of parity (-1)^k, so the computational
+    states |0>, |1> are columns 0 and 1.
     """
 
     energies: np.ndarray
     states: np.ndarray
-    parities: np.ndarray
-    comp_indices: tuple[int, int]
 
     @property
     def psi0(self) -> np.ndarray:
-        return self.states[:, self.comp_indices[0]]
+        return self.states[:, 0]
 
     @property
     def psi1(self) -> np.ndarray:
-        return self.states[:, self.comp_indices[1]]
+        return self.states[:, 1]
 
     @property
     def gap(self) -> float:
         """Computational gap E_01 = E_1 - E_0."""
-        return float(self.energies[self.comp_indices[1]] - self.energies[self.comp_indices[0]])
-
-    def excited_indices(self, count: int | None = None) -> list[int]:
-        """Indices of the ``count`` levels adjacent to the computational pair, by energy."""
-        comp = set(self.comp_indices)
-        order = np.argsort(self.energies)[::-1]  # descending from the cat manifold
-        out = [int(k) for k in order if int(k) not in comp]
-        return out if count is None else out[:count]
+        return float(self.energies[1] - self.energies[0])
 
 
 def _labeled_channels(drift: np.ndarray, ops, values: np.ndarray):
@@ -153,11 +143,6 @@ def _spectra_pieces(drift: np.ndarray, ops, values: np.ndarray):
         yield piece, *_block_spectra(drift, ops, values[piece], real)
 
 
-def _hf_slope(psi0: np.ndarray, psi1: np.ndarray) -> np.ndarray:
-    """Hellmann-Feynman gap slope <psi_1|n|psi_1> - <psi_0|n|psi_0> (stackable)."""
-    return (np.abs(psi1) ** 2 - np.abs(psi0) ** 2) @ np.arange(psi0.shape[-1])
-
-
 def _gap_slopes(drift: np.ndarray, ops, values: np.ndarray):
     """E_01, dE_01/ddelta and the smaller parity-sector gap along a stack.
 
@@ -176,31 +161,27 @@ def _gap_slopes(drift: np.ndarray, ops, values: np.ndarray):
                                    initial=np.inf)
         gap[piece] = energies[..., 1] - energies[..., 0]
         shift[piece] = np.abs(states[..., 1]) ** 2 - np.abs(states[..., 0]) ** 2
-    # one product over the whole stack, as in _hf_slope: BLAS groups a
-    # matrix-vector product's rows by the stack's length, so a product per
-    # piece can differ in the last bit
+    # one product over the whole stack: BLAS groups a matrix-vector product's
+    # rows by the stack's length, so a product per piece can differ in the last bit
     return gap, shift @ np.arange(d), sector_gap
 
 
 def diagonalize_labeled(H: np.ndarray) -> LabeledSpectrum:
-    """Dense Hermitian eigendecomposition with Fock-parity labels.
+    """Dense Hermitian eigendecomposition with Fock-parity labels, in ladder order.
 
     The even and odd Fock sectors are diagonalized separately, so the labels
-    are exact also at the delta = 0 degeneracy point.
+    are exact also at the delta = 0 degeneracy point. Column k has parity
+    (-1)^k and |0>, |1> are columns 0 and 1 (see :func:`_parity_spectra`).
     """
     energies, states = _parity_spectra(H, [], np.empty(0))
-    column = np.arange(H.shape[-1])
-    odd = column % 2
-    # ties: even before odd, and within a sector in the eigensolver's ascending order
-    order = np.lexsort((-column, odd, energies))
-    i0, i1 = (int(i) for i in np.argsort(order)[:2])
-    return LabeledSpectrum(energies=energies[order],
-                           states=states[:, order].astype(np.result_type(H, float)),
-                           parities=(1 - 2 * odd)[order], comp_indices=(i0, i1))
+    # column-major, so psi0 and psi1 are contiguous vectors: BLAS can round a
+    # product with a strided vector differently in the last bit
+    return LabeledSpectrum(energies=energies,
+                           states=states.astype(np.result_type(H, float), order="F"))
 
 
 def spectrum_at(params: KerrCatParams, delta_shift: float, space: FockSpace) -> LabeledSpectrum:
-    """Labeled spectrum of the drift Hamiltonian at total detuning delta + Delta."""
+    """Labeled spectrum, in ladder order, of the drift at total detuning delta + Delta."""
     H = HamiltonianAssembly.build(params, space).at({"delta": delta_shift})
     return diagonalize_labeled(H)
 
@@ -329,7 +310,8 @@ def gap_landscape(
         for i, d in enumerate(deltas):
             spec = spectrum_at(params, d, space)
             gap[i, j] = spec.gap
-            deriv[i, j] = _hf_slope(spec.psi0, spec.psi1)
+            # Hellmann-Feynman: <psi_1|n|psi_1> - <psi_0|n|psi_0>
+            deriv[i, j] = (np.abs(spec.psi1) ** 2 - np.abs(spec.psi0) ** 2) @ np.arange(space.dim)
     return GapLandscape(delta_grid=deltas, alpha2_grid=alpha2s, gap=gap, gap_deriv=deriv)
 
 

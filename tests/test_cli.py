@@ -47,7 +47,15 @@ def test_load_config_errors(tmp_path):
                                  {"coarse_n": 0}, {"coarse_n": 2.5}, {"coarse_n": True},
                                  {"refine_rounds": -1}, {"refine_rounds": "2"},
                                  {"refine_rounds": False}, {"drag_mode": "exactt"},
-                                 {"drag_mode": None}]):
+                                 {"drag_mode": None},
+                                 {"alpha2": -1}, {"alpha2": "2"}, {"alpha2": True},
+                                 {"alpha2": float("nan")}, {"alpha2_A": -0.5},
+                                 {"alpha2_B": float("inf")}, {"alpha2_list": [2.0, -1.0]},
+                                 {"alpha2_list": ["a"]}, {"alpha2_list": [False]},
+                                 {"alpha2_list": 2.0}, {"T": 0}, {"T": "abc"},
+                                 {"T": float("inf")}, {"T": True}, {"T_list": [-5.0]},
+                                 {"T_list": [0.0]}, {"T_list": [30.0, float("nan")]},
+                                 {"T_list": []}]):
         path = tmp_path / f"invalid{i}.json"
         path.write_text(json.dumps(entries))
         with pytest.raises(ConfigError, match=next(iter(entries))):
@@ -87,6 +95,8 @@ NOISE_CONFIG = {"scheme": "Z_STRAIGHT", "fock_dim": 12,
     ({"noise": {"kind": "static", "parameters": {"value": 1e-3}, "seed": 1.5}}, "seed"),
     ({"noise": {"kind": "tabulated-psd",
                 "parameters": {"omegas": [2.0, 1.0, 0.0], "psd": [3.0, 2.0, 1.0]}}}, "omegas"),
+    ({"alpha2": -1}, "alpha2"),
+    ({"T": "abc"}, "T"),
 ])
 def test_noise_config_faults_exit_1(tmp_path, capsys, entries, message):
     cfg = tmp_path / "cfg.json"
@@ -143,7 +153,8 @@ def test_gate_sweep_unknown_scheme_is_config_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("entries", [{"coarse_n": 0}, {"refine_rounds": -1},
-                                     {"drag_mode": "exactt"}])
+                                     {"drag_mode": "exactt"}, {"T_list": [-5.0]},
+                                     {"alpha2_list": [-1.0]}, {"alpha2_list": ["a"]}])
 def test_gate_sweep_config_fault_exits_1(tmp_path, capsys, entries):
     # each would otherwise record every point as a failure and exit 0
     cfg = tmp_path / "cfg.json"

@@ -44,6 +44,22 @@ def test_non_finite_schedule_samples_raise():
         propagate(dataclasses.replace(x, times=times), space, n_steps=10)
 
 
+def test_degenerate_time_grids_raise():
+    # a one-sample grid spans no time: its gate would score as a plausible number
+    space = FockSpace(8)
+    p = KerrCatParams.from_alpha2(2.0)
+    z = scheme_z_straight(30.0, 0.5, -1.0, p, n_samples=21)
+    repeated = z.times.copy()
+    repeated[5] = repeated[4]
+    for sched in (scheme_z_straight(30.0, 0.5, -1.0, p, n_samples=1),
+                  dataclasses.replace(z, times=z.times + 1.0),
+                  dataclasses.replace(z, times=repeated)):
+        for read in (lambda: propagate(sched, space, n_steps=10),
+                     lambda: gap_traces(sched, space)):
+            with pytest.raises(InvalidInputError, match="start at 0 and strictly increase"):
+                read()
+
+
 def test_envelope_endpoints_and_peak():
     T = 17.0
     assert truncated_gaussian(0.0, T) == pytest.approx(0.0, abs=1e-15)
@@ -74,6 +90,11 @@ def test_envelope_domain_guard():
         truncated_gaussian(-0.1, 10.0)
     with pytest.raises(ValueError):
         truncated_gaussian(10.2, 10.0)
+    # the derivative has the same support; past it the Gaussian would continue
+    for t in (-0.1, 10.2, [0.0, 5.0, 10.2]):
+        with pytest.raises(ValueError, match="outside"):
+            truncated_gaussian_deriv(t, 10.0)
+    assert truncated_gaussian_deriv(10.0 + 1e-13, 10.0) == pytest.approx(0.0, abs=1e-12)
 
 
 @given(st.floats(min_value=0.02, max_value=0.98))

@@ -36,8 +36,6 @@ def test_spectrum_at_equals_labeled_explicit_hamiltonian(delta):
         ref = diagonalize_labeled(H)
         assert np.array_equal(spec.energies, ref.energies)
         assert np.array_equal(spec.states, ref.states)
-        assert np.array_equal(spec.parities, ref.parities)
-        assert spec.comp_indices == ref.comp_indices
     # one Hamiltonian broadcast over a stack gives its spectrum in every row,
     # and adding delta through a channel gives the same spectrum
     H = build_hamiltonian(params, SPACE, {"delta": delta})
@@ -138,7 +136,7 @@ def test_degenerate_pair_rotated_to_parity_basis():
         space = FockSpace(dim)
         spec = spectrum_at(KerrCatParams.from_alpha2(alpha2), 0.0, space)
         pi = parity_operator(space)
-        for idx, sign in zip(spec.comp_indices, (1, -1)):
+        for idx, sign in ((0, 1), (1, -1)):
             v = spec.states[:, idx]
             assert np.vdot(v, pi @ v).real == pytest.approx(sign, abs=1e-9)
         assert np.max(np.abs(spec.psi0[1::2])) < 1e-12
@@ -169,17 +167,15 @@ def test_stacked_kernel_rows_equal_single_calls(dim, batch, n_ops, complex_, see
     for b in range(batch):
         H = drift + sum(v * op for v, op in zip(values[b], ops))
         spec = diagonalize_labeled(H)
-        order = np.argsort(energies[b], kind="stable")
-        assert np.allclose(spec.energies, energies[b][order], rtol=0, atol=1e-12)
-        assert np.allclose(spec.states, states[b][:, order], rtol=0, atol=1e-12)
-        assert spec.comp_indices == (int(np.flatnonzero(order == 0)[0]),
-                                     int(np.flatnonzero(order == 1)[0]))
-        # an exact eigensystem: orthonormal, eigen-equation, pure parity
+        assert np.allclose(spec.energies, energies[b], rtol=0, atol=1e-12)
+        assert np.allclose(spec.states, states[b], rtol=0, atol=1e-12)
+        # an exact eigensystem: orthonormal, eigen-equation, column k of parity (-1)^k
         V = spec.states
+        even = np.arange(dim) % 2 == 0
         assert np.allclose(V.conj().T @ V, np.eye(dim), atol=1e-12)
         assert np.allclose(H @ V, V * spec.energies, atol=1e-10)
-        assert np.all(V[1::2][:, spec.parities > 0] == 0)
-        assert np.all(V[0::2][:, spec.parities < 0] == 0)
+        assert np.all(V[1::2][:, even] == 0)
+        assert np.all(V[0::2][:, ~even] == 0)
         # gauge: the largest-magnitude Fock coefficient is real and positive
         pivots = V[np.argmax(np.abs(V), axis=0), np.arange(dim)]
         assert np.all(pivots.real > 0) and np.all(np.abs(pivots.imag) < 1e-14)
@@ -200,6 +196,9 @@ def test_spectrum_columns_follow_the_cat_ladder(dim, batch, complex_, seed):
     assert np.all(energies[:, 2:] < energies[:, :-2])
     for b in range(batch):
         spec = diagonalize_labeled(drift + values[b, 0] * op)
+        assert np.array_equal(spec.energies, energies[b])
+        assert np.array_equal(spec.states, states[b])
+        assert spec.states.flags.f_contiguous  # each state a contiguous vector
         assert np.array_equal(spec.psi0, states[b, :, 0])
         assert np.array_equal(spec.psi1, states[b, :, 1])
 
