@@ -39,12 +39,20 @@ class InvalidNoiseModelError(ValueError):
 
 
 def _finite_reals(x, ndim: int) -> bool:
-    """True when ``x`` is a finite real number (``ndim`` 0) or a 1-D list of them."""
+    """True when ``x`` is a finite real number (``ndim`` 0) or a 1-D list of them.
+
+    A bool is not a number here, also inside a list, where numpy would turn
+    ``[0, True]`` into an integer array.
+    """
     try:
         a = np.asarray(x)
     except ValueError:  # a ragged nested list
         return False
-    return a.ndim == ndim and a.dtype.kind in "iuf" and bool(np.all(np.isfinite(a)))
+    if a.ndim != ndim or a.dtype.kind not in "iuf":
+        return False
+    if ndim and any(isinstance(v, (bool, np.bool_)) for v in x):
+        return False
+    return bool(np.all(np.isfinite(a)))
 
 
 class CoverageWarning(UserWarning):

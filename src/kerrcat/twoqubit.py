@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm, logm
 
 from .cats import matrix_elements
 from .fidelity import computational_pair
@@ -74,10 +73,14 @@ def effective_interaction(model: TwoQubitEffectiveModel, g: float) -> np.ndarray
 
 def effective_unitary(model: TwoQubitEffectiveModel) -> np.ndarray:
     """Evolution under the full envelope; exact since H(t) commutes with itself."""
+    from scipy.linalg import expm  # kept local: importing kerrcat loads no scipy subpackage
+
     return expm(-1j * effective_interaction(model, model.integrated_coupling))
 
 
 def xx_target(theta: float) -> np.ndarray:
+    from scipy.linalg import expm  # kept local, as in effective_unitary
+
     return expm(-1j * (theta / 2.0) * _XX)
 
 
@@ -89,6 +92,8 @@ def echo_xx(theta: float, model: TwoQubitEffectiveModel, echo_qubit: str = "A") 
     commutes with XX, so the composition equals exp(-i(theta/2)XX) exactly
     when the beamsplitter phase is zero.
     """
+    from scipy.linalg import expm  # kept local, as in effective_unitary
+
     if echo_qubit not in ("A", "B"):
         raise ValueError("echo_qubit must be 'A' or 'B'")
     flip = _XA if echo_qubit == "A" else _XB
@@ -196,5 +201,7 @@ def projected_generator(
     Drift phases must be removed by the caller (propagate with g = 0 and
     divide out) before the log is meaningful at small couplings.
     """
+    from scipy.linalg import logm  # kept local, as in effective_unitary
+
     block = projector.conj().T @ U @ projector
     return 1j * logm(block) / total_time_coupling

@@ -123,13 +123,16 @@ def test_axis_limits():
     assert axis_y.h_phi == pytest.approx(hy, abs=1e-12)
 
 
-def test_import_leaves_scipy_special_unloaded():
+def test_import_and_x_seed_leave_scipy_unloaded():
     import kerrcat
 
     src = os.path.dirname(os.path.dirname(kerrcat.__file__))
-    code = "import sys, kerrcat; print('scipy.special' in sys.modules)"
+    code = ("import sys, kerrcat.cli\n"
+            "from kerrcat import KerrCatParams, seed_eps_x0\n"
+            "seed_eps_x0(30.0, KerrCatParams.from_alpha2(2.0))\n"
+            "print(sorted({'scipy.special', 'scipy.integrate', 'scipy.linalg'} & set(sys.modules)))")
     path = [src, *filter(None, [os.environ.get("PYTHONPATH")])]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"

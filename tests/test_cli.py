@@ -97,6 +97,8 @@ NOISE_CONFIG = {"scheme": "Z_STRAIGHT", "fock_dim": 12,
                 "parameters": {"omegas": [2.0, 1.0, 0.0], "psd": [3.0, 2.0, 1.0]}}}, "omegas"),
     ({"alpha2": -1}, "alpha2"),
     ({"T": "abc"}, "T"),
+    ({"noise": {"kind": "tabulated-psd",
+                "parameters": {"omegas": [0, True], "psd": [1, 1]}}}, "omegas"),
 ])
 def test_noise_config_faults_exit_1(tmp_path, capsys, entries, message):
     cfg = tmp_path / "cfg.json"

@@ -32,6 +32,13 @@ def test_model_validation():
         NoiseModel(kind="static", parameters={"value": 1e-3}).psd(np.array([0.0]))
 
 
+def test_bool_inside_noise_list_rejected():
+    # numpy turns [0, True] into an integer array; the model still refuses the bool
+    with pytest.raises(InvalidNoiseModelError, match="omegas"):
+        NoiseModel(kind="tabulated-psd", parameters={"omegas": [0, True], "psd": [1, 1]})
+    NoiseModel(kind="tabulated-psd", parameters={"omegas": [0, 1], "psd": [1, 1]})
+
+
 def test_variances():
     assert NoiseModel("static", {"value": 2e-3}).variance() == pytest.approx(4e-6)
     assert NoiseModel("gaussian-quasistatic", {"sigma": 3e-3}).variance() == pytest.approx(9e-6)

@@ -645,11 +645,15 @@ def _column_errors(kept, full, params, space):
 
 @settings(max_examples=25, deadline=None)
 @given(kind=st.sampled_from(["X", "Z", "Y"]), alpha2=st.floats(0.5, 2.5),
-       dim=st.integers(propagation.KEPT_STATES + 1, 30), T=st.floats(10.0, 25.0),
-       offsets=st.lists(st.floats(-1e-2, 1e-2), min_size=1, max_size=3))
-def test_kept_basis_matches_full_dimension(kind, alpha2, dim, T, offsets):
+       T=st.floats(10.0, 25.0), offsets=st.lists(st.floats(-1e-2, 1e-2), min_size=1, max_size=3),
+       data=st.data())
+def test_kept_basis_matches_full_dimension(kind, alpha2, T, offsets, data):
     # the kept basis is gated on its edge population, so the computational
-    # columns may move by about the amplitude sqrt(EDGE_TOL) of that population
+    # columns may move by about the amplitude sqrt(EDGE_TOL) of that population;
+    # dim starts above both KEPT_STATES and the cats' truncation bound
+    # dim > alpha^2 + 8 sqrt(alpha^2 + 1) (kerrcat.cats.cat_vectors)
+    min_dim = max(propagation.KEPT_STATES, int(alpha2 + 8 * np.sqrt(alpha2 + 1))) + 1
+    dim = data.draw(st.integers(min_dim, 30), label="dim")
     p = KerrCatParams.from_alpha2(alpha2)
     space = FockSpace(dim)
     schedule = {"X": lambda: scheme_x(T, seed_eps_x0(T, p), p, n_samples=101),

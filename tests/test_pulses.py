@@ -85,6 +85,26 @@ def test_envelope_quarter_value():
         assert envelope_integral(T) == pytest.approx(closed, rel=1e-12)
 
 
+def test_envelope_integral_is_quads_result():
+    # the dqk21 sum is quad's first and only panel: bit-equal with scipy 1.17's
+    # QUADPACK, and 2 ulp leave room for a build that rounds differently
+    from scipy.integrate import quad
+
+    for T in (10.0, 15.0, 20.0, 30.0, 40.0, *np.geomspace(0.1, 500.0, 61)):
+        T = float(T)
+        ref, _ = quad(lambda t: truncated_gaussian(t, T), 0.0, T, limit=200)
+        assert abs(envelope_integral(T) - ref) <= 2 * np.spacing(ref), T
+
+
+@pytest.mark.parametrize("T", [0.0, -1.0, np.inf, np.nan, True, "30"])
+def test_bad_duration_raises(T):
+    p = KerrCatParams.from_alpha2(2.0)
+    with pytest.raises(InvalidInputError, match="duration"):
+        envelope_integral(T)
+    with pytest.raises(InvalidInputError, match="duration"):
+        seed_eps_x0(T, p)
+
+
 def test_envelope_domain_guard():
     with pytest.raises(ValueError):
         truncated_gaussian(-0.1, 10.0)
