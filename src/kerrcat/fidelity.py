@@ -39,10 +39,10 @@ def infidelity(
     U = unitary
     if frame_rotation is not None:
         U = frame_rotation.conj().T @ U
-    m = np.array([
-        [np.vdot(psi0, U @ psi0), np.vdot(psi0, U @ psi1)],
-        [np.vdot(psi1, U @ psi0), np.vdot(psi1, U @ psi1)],
-    ])
+    # a fresh C-ordered pair, so the product's last bits do not depend on how
+    # the caller holds psi0 and psi1
+    P = np.column_stack([psi0, psi1])
+    m = P.conj().T @ (U @ P)
     tr = np.trace(target.conj().T @ m)
     return float(max(0.0, 1.0 - abs(tr) ** 2 / 4.0))
 

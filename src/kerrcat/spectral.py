@@ -173,7 +173,11 @@ def diagonalize_labeled(H: np.ndarray) -> LabeledSpectrum:
     are exact also at the delta = 0 degeneracy point. Column k has parity
     (-1)^k and |0>, |1> are columns 0 and 1 (see :func:`_parity_spectra`).
     """
-    energies, states = _parity_spectra(H, [], np.empty(0))
+    return _labeled(*_parity_spectra(H, [], np.empty(0)), H)
+
+
+def _labeled(energies: np.ndarray, states: np.ndarray, H: np.ndarray) -> LabeledSpectrum:
+    """A single point's :func:`_parity_spectra` as a spectrum with states of H's dtype."""
     # column-major, so psi0 and psi1 are contiguous vectors: BLAS can round a
     # product with a strided vector differently in the last bit
     return LabeledSpectrum(energies=energies,
@@ -181,9 +185,22 @@ def diagonalize_labeled(H: np.ndarray) -> LabeledSpectrum:
 
 
 def spectrum_at(params: KerrCatParams, delta_shift: float, space: FockSpace) -> LabeledSpectrum:
-    """Labeled spectrum, in ladder order, of the drift at total detuning delta + Delta."""
-    H = HamiltonianAssembly.build(params, space).at({"delta": delta_shift})
-    return diagonalize_labeled(H)
+    """Labeled spectrum, in ladder order, of the drift at total detuning delta + Delta.
+
+    The same spectrum, bit for bit, as :func:`diagonalize_labeled` of the
+    drift plus ``delta_shift`` times the number operator.
+    """
+    if not np.isfinite(delta_shift):
+        raise InvalidInputError(f"non-finite value for channel 'delta': {delta_shift}")
+    assembly = HamiltonianAssembly.build(params, space)
+    # the library builds the drift and the number operator finite, real,
+    # Hermitian and parity-keeping, so only the outside value is checked here,
+    # not every point's Hamiltonian
+    ops, values = present_channels([assembly.channels["delta"]], np.array([delta_shift], float))
+    energies, states = _block_spectra(assembly.drift, ops, values, real=True)
+    if not np.all(np.isfinite(energies)):
+        raise InvalidInputError(f"detuning shift {delta_shift} overflows the Hamiltonian")
+    return _labeled(energies, states, assembly.drift)
 
 
 def energy_gap(params: KerrCatParams, delta_shift: float, space: FockSpace) -> float:
@@ -233,7 +250,7 @@ ROBUST_SECTOR_GAP_MIN = 1.2
 def robust_line(alpha2: float, space: FockSpace) -> float:
     """Detuning delta_rob in (0, 1) where the gap derivative vanishes, in units of K.
 
-    A 64-point scan brackets the first + -> - sign change of the
+    A 16-point scan brackets the first + -> - sign change of the
     Hellmann-Feynman derivative, and Illinois false position finds the root
     inside that bracket. Raises :class:`NoRobustPointError` when the
     derivative does not change sign in (0, K), or when the zero sits on an
@@ -244,7 +261,7 @@ def robust_line(alpha2: float, space: FockSpace) -> float:
     """
     params = KerrCatParams.from_alpha2(alpha2)
     assembly = HamiltonianAssembly.build(params, space)
-    grid = np.linspace(1 / 64, 1 - 1e-9, 64)
+    grid = np.linspace(1 / 16, 1 - 1e-9, 16)
     values, sector_gaps = _checked_slopes(assembly, grid, NEIGHBOR_TOL)
     crossings = np.flatnonzero((values[:-1] > 0) & (values[1:] <= 0))
     if len(crossings) == 0:

@@ -48,6 +48,27 @@ def test_full_leakage_is_one():
     assert infidelity(U, rot_x(np.pi / 2), psi0, psi1) == pytest.approx(1.0, abs=1e-10)
 
 
+def test_infidelity_ignores_pair_layout():
+    # the same pair held C-ordered or column-major gives the same value bit for
+    # bit, for propagated X gates and for random unitaries
+    from kerrcat.propagation import propagate_many
+    from kerrcat.pulses import seed_eps_x0
+
+    p = KerrCatParams.from_alpha2(2.0)
+    pair = np.column_stack(computational_pair(p, SPACE))
+    sched = scheme_x(30.0, seed_eps_x0(30.0, p), p)
+    cases = [(r.unitary, sched.frame_rotation)
+             for r in propagate_many(sched, SPACE, np.linspace(-5e-3, 5e-3, 11), n_steps=500)]
+    rng = np.random.default_rng(0)
+    for _ in range(50):
+        A = rng.normal(size=(SPACE.dim, SPACE.dim)) + 1j * rng.normal(size=(SPACE.dim, SPACE.dim))
+        cases.append((np.linalg.qr(A)[0], None))
+    for U, frame in cases:
+        values = {infidelity(U, sched.target, *np.array(pair, order=order).T, frame)
+                  for order in "CF"}
+        assert len(values) == 1, values
+
+
 def test_simpson_weights():
     nodes, w = simpson_nodes(5e-3, 11)
     assert len(nodes) == 11

@@ -50,6 +50,15 @@ def test_spectrum_at_equals_labeled_explicit_hamiltonian(delta):
         assert np.allclose(states, single[1], rtol=0, atol=1e-9)
 
 
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.parametrize("delta", [np.nan, np.inf, -np.inf, 1e308])
+def test_spectrum_at_shift_guard(delta):
+    # the shift is the one value from outside the library; 1e308 is finite but
+    # overflows H
+    with pytest.raises(InvalidInputError):
+        spectrum_at(KerrCatParams.from_alpha2(2.0), delta, FockSpace(10))
+
+
 @pytest.mark.parametrize("alpha2", [0.5, 1.0, 2.0, 3.0])
 def test_zero_detuning_degeneracy(alpha2):
     gap = energy_gap(KerrCatParams.from_alpha2(alpha2), 0.0, SPACE)
@@ -87,6 +96,23 @@ ROBUST_REFERENCE = {1.0: 0.3913, 1.5: 0.3503, 2.0: 0.3224, 3.0: 0.2876}
 @pytest.mark.parametrize("alpha2,expected", sorted(ROBUST_REFERENCE.items()))
 def test_robust_line_reference_points(alpha2, expected):
     assert robust_line(alpha2, SPACE) == pytest.approx(expected, abs=2e-4)
+
+
+def test_robust_line_matches_fine_scan_root():
+    # reference: the first + -> - sign change of a 256-point scan of the
+    # single-point derivative, solved by Brent's method; the library's
+    # 16-point bracket must find the same root
+    from scipy.optimize import brentq
+
+    space = FockSpace(24)
+    grid = np.linspace(1 / 256, 1 - 1e-9, 256)
+    for alpha2 in np.linspace(1.0, 3.0, 11):
+        params = KerrCatParams.from_alpha2(alpha2)
+        slope = [gap_derivative(params, d, space) for d in grid]
+        k = next(i for i in range(len(grid) - 1) if slope[i] > 0 >= slope[i + 1])
+        ref = brentq(lambda d: gap_derivative(params, d, space), grid[k], grid[k + 1],
+                     xtol=1e-12)
+        assert abs(robust_line(alpha2, space) - ref) < 1e-9, alpha2
 
 
 @pytest.mark.parametrize("alpha2", [0.2, 0.5, 0.8])
