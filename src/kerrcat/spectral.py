@@ -30,6 +30,7 @@ from .fock import (
     block_hamiltonians,
     hermiticity_defect,
     is_real,
+    keeps_parity,
     parity_blocks,
     present_channels,
     stack_pieces,
@@ -79,28 +80,8 @@ class LabeledSpectrum:
         return float(self.energies[1] - self.energies[0])
 
 
-def _labeled_channels(drift: np.ndarray, ops, values: np.ndarray):
-    """The present channels of a stack to label, their values, and whether all are real.
-
-    Raises :class:`InvalidInputError` for a non-finite value or a non-finite
-    or non-Hermitian operator, and :class:`ParityLabelError` for an operator
-    that couples the parity sectors.
-    """
-    ops, values = present_channels(ops, values)
-    if not np.all(np.isfinite(values)):
-        raise InvalidInputError("non-finite Hamiltonian coefficient")
-    for op in (drift, *ops):
-        if not np.all(np.isfinite(op)) or hermiticity_defect(op) > HERMITICITY_TOL:
-            raise InvalidInputError("Hamiltonian is not a finite Hermitian matrix")
-        # ||[op, Pi]||_F = 2 ||even<->odd entries of op||_F
-        coupling = np.hypot(np.linalg.norm(op[0::2, 1::2]), np.linalg.norm(op[1::2, 0::2]))
-        if 2.0 * coupling > PARITY_COMM_TOL * np.linalg.norm(op):
-            raise ParityLabelError("Hamiltonian does not commute with the parity operator")
-    return ops, values, all(is_real(op) for op in (drift, *ops))
-
-
 def _block_spectra(drift: np.ndarray, ops, values: np.ndarray, real: bool):
-    """:func:`_parity_spectra` of channels already checked by :func:`_labeled_channels`."""
+    """:func:`_parity_spectra` of present channels; an overflowing H raises InvalidInputError."""
     d = drift.shape[-1]
     energies = np.empty((*values.shape[:-1], d))
     states = np.zeros((*values.shape[:-1], d, d), dtype=float if real else complex)
@@ -110,21 +91,24 @@ def _block_spectra(drift: np.ndarray, ops, values: np.ndarray, real: bool):
         # a sector's columns are its Fock rows, filled from the top state down
         energies[..., block] = w[..., ::-1]
         states[..., block, block] = (V / (pivot / np.abs(pivot)))[..., ::-1]
+    if not np.all(np.isfinite(energies)):
+        raise InvalidInputError("Hamiltonian overflows: its spectrum is not finite")
     return energies, states
 
 
 def _parity_spectra(drift: np.ndarray, ops, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Energies and states of H = drift + sum_j values[..., j] ops[j], stacked.
 
-    Every operator must be Hermitian and commute with parity; each Fock
-    parity block is diagonalized on its own, real-symmetric (real states)
-    when all operators are real. The columns follow the cat ladder: column
-    k is the (k // 2)-th state below the top of the sector of parity
-    (-1)^k, so |0>, |1> are columns 0 and 1, and the next state down in
-    each sector is column 2 or 3. Each state's largest-magnitude Fock
-    coefficient is real and positive.
+    Every operator must be Hermitian and commute with parity, which is not
+    checked here (see :func:`diagonalize_labeled`); each Fock parity block is
+    diagonalized on its own, real-symmetric (real states) when all operators
+    are real. The columns follow the cat ladder: column k is the (k // 2)-th
+    state below the top of the sector of parity (-1)^k, so |0>, |1> are
+    columns 0 and 1, and the next state down in each sector is column 2 or 3.
+    Each state's largest-magnitude Fock coefficient is real and positive.
     """
-    return _block_spectra(drift, *_labeled_channels(drift, ops, values))
+    ops, values = present_channels(ops, values)
+    return _block_spectra(drift, ops, values, all(is_real(op) for op in (drift, *ops)))
 
 
 def _spectra_pieces(drift: np.ndarray, ops, values: np.ndarray):
@@ -132,13 +116,16 @@ def _spectra_pieces(drift: np.ndarray, ops, values: np.ndarray):
 
     The pieces are :func:`~kerrcat.fock.stack_pieces` of the leading axis of
     ``values``, one item being that point's d x d states, so the states held
-    at once stay within ``STACK_ENTRIES``. The channels are checked, and the
-    real path chosen, once for the whole stack, so each point's spectrum does
-    not depend on the piece it is taken in.
+    at once stay within ``STACK_ENTRIES``. The real path is chosen once for
+    the whole stack, so each point's spectrum does not depend on the piece it
+    is taken in. Raises :class:`ParityLabelError` when a present channel
+    couples the parity sectors (a single-photon drive).
     """
-    ops, values, real = _labeled_channels(drift, ops, values)
-    d = drift.shape[-1]
-    for piece in stack_pieces(len(values), (*values.shape[1:-1], d, d),
+    ops, values = present_channels(ops, values)
+    if not all(keeps_parity(op) for op in ops):
+        raise ParityLabelError("a channel couples the parity sectors")
+    real = all(is_real(op) for op in (drift, *ops))
+    for piece in stack_pieces(len(values), (*values.shape[1:-1], *drift.shape),
                               float if real else complex):
         yield piece, *_block_spectra(drift, ops, values[piece], real)
 
@@ -172,7 +159,15 @@ def diagonalize_labeled(H: np.ndarray) -> LabeledSpectrum:
     The even and odd Fock sectors are diagonalized separately, so the labels
     are exact also at the delta = 0 degeneracy point. Column k has parity
     (-1)^k and |0>, |1> are columns 0 and 1 (see :func:`_parity_spectra`).
+    Raises :class:`InvalidInputError` when ``H`` is not a finite Hermitian
+    matrix, and :class:`ParityLabelError` when it couples the parity sectors.
     """
+    if not np.all(np.isfinite(H)) or hermiticity_defect(H) > HERMITICITY_TOL:
+        raise InvalidInputError("Hamiltonian is not a finite Hermitian matrix")
+    # ||[H, Pi]||_F = 2 ||even<->odd entries of H||_F
+    coupling = np.hypot(np.linalg.norm(H[0::2, 1::2]), np.linalg.norm(H[1::2, 0::2]))
+    if 2.0 * coupling > PARITY_COMM_TOL * np.linalg.norm(H):
+        raise ParityLabelError("Hamiltonian does not commute with the parity operator")
     return _labeled(*_parity_spectra(H, [], np.empty(0)), H)
 
 
@@ -188,19 +183,15 @@ def spectrum_at(params: KerrCatParams, delta_shift: float, space: FockSpace) -> 
     """Labeled spectrum, in ladder order, of the drift at total detuning delta + Delta.
 
     The same spectrum, bit for bit, as :func:`diagonalize_labeled` of the
-    drift plus ``delta_shift`` times the number operator.
+    drift plus ``delta_shift`` times the number operator. A non-finite shift,
+    or one that overflows the Hamiltonian, raises :class:`InvalidInputError`.
     """
     if not np.isfinite(delta_shift):
         raise InvalidInputError(f"non-finite value for channel 'delta': {delta_shift}")
     assembly = HamiltonianAssembly.build(params, space)
-    # the library builds the drift and the number operator finite, real,
-    # Hermitian and parity-keeping, so only the outside value is checked here,
-    # not every point's Hamiltonian
-    ops, values = present_channels([assembly.channels["delta"]], np.array([delta_shift], float))
-    energies, states = _block_spectra(assembly.drift, ops, values, real=True)
-    if not np.all(np.isfinite(energies)):
-        raise InvalidInputError(f"detuning shift {delta_shift} overflows the Hamiltonian")
-    return _labeled(energies, states, assembly.drift)
+    spectra = _parity_spectra(assembly.drift, [assembly.channels["delta"]],
+                              np.array([delta_shift], float))
+    return _labeled(*spectra, assembly.drift)
 
 
 def energy_gap(params: KerrCatParams, delta_shift: float, space: FockSpace) -> float:
@@ -233,7 +224,11 @@ def gap_derivative(
 
     d E_01 / d delta = <psi_1|n|psi_1> - <psi_0|n|psi_0>. Valid when the
     computational states are separated from their parity-sector neighbors.
+    A non-finite shift, or one that overflows the Hamiltonian, raises
+    :class:`InvalidInputError`.
     """
+    if not np.isfinite(delta_shift):
+        raise InvalidInputError(f"non-finite value for channel 'delta': {delta_shift}")
     assembly = HamiltonianAssembly.build(params, space)
     (slope,), _ = _checked_slopes(assembly, [delta_shift], neighbor_tol)
     return float(slope)
@@ -255,9 +250,11 @@ def robust_line(alpha2: float, space: FockSpace) -> float:
     inside that bracket. Raises :class:`NoRobustPointError` when the
     derivative does not change sign in (0, K), or when the zero sits on an
     avoided crossing with leakage states, both of which happen for small cat
-    sizes. For Kerr K != 1, ``KerrCatParams.from_alpha2(alpha2, kerr=K)`` has its
-    robust point at ``K * robust_line(alpha2, space)``: H / K depends on delta / K and
-    alpha^2 only.
+    sizes. Raises :class:`IllConditionedError` when the root's rounding
+    uncertainty 64 eps d (hi - lo) / (f(lo) - f(hi)), on the bracket at Fock
+    dimension d, exceeds 1e-6 K, as for alpha^2 above about 8 at d = 90. For
+    Kerr K != 1, ``KerrCatParams.from_alpha2(alpha2, kerr=K)`` has its robust point at
+    ``K * robust_line(alpha2, space)``: H / K depends on delta / K and alpha^2 only.
     """
     params = KerrCatParams.from_alpha2(alpha2)
     assembly = HamiltonianAssembly.build(params, space)
@@ -270,6 +267,9 @@ def robust_line(alpha2: float, space: FockSpace) -> float:
         )
     k = crossings[0]
     (lo, hi), (f_lo, f_hi) = grid[k:k + 2], values[k:k + 2]
+    if 64 * np.finfo(float).eps * space.dim * (hi - lo) / (f_lo - f_hi) > 1e-6:
+        raise IllConditionedError(f"gap derivative at alpha2={alpha2} changes by only "
+                                  f"{f_lo - f_hi:.2g} across its bracket: root set by rounding")
     root, step, side, sector_gap = lo, hi - lo, 0, sector_gaps[k]
     # Illinois false position: the bracket keeps f(lo) > 0 >= f(hi), and the
     # value at an end kept twice in a row is halved, so both ends close in and

@@ -12,7 +12,7 @@ from kerrcat.pulses import (AdiabaticityLossError, InvalidRampError, PulseSchedu
                             SchemeInfeasibleError, _drag_exact, envelope_integral, gap_traces,
                             idle_schedule, predicted_angle, ramp_down, ramp_up,
                             rot_x, rot_y, rot_z, scheme_kerr_gate, scheme_x,
-                            scheme_y_drag, scheme_z_robustline,
+                            scheme_xx_envelope, scheme_y_drag, scheme_z_robustline,
                             scheme_z_straight, seed_eps_x0, truncated_gaussian,
                             truncated_gaussian_deriv)
 from kerrcat.spectral import ParityLabelError, RobustLineCache, energy_gap, gap_derivative
@@ -20,6 +20,8 @@ from kerrcat.spectral import ParityLabelError, RobustLineCache, energy_gap, gap_
 SPACE = FockSpace(30)
 
 
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
 def test_non_finite_schedule_samples_raise():
     space = FockSpace(8)
     p = KerrCatParams.from_alpha2(2.0)
@@ -37,6 +39,12 @@ def test_non_finite_schedule_samples_raise():
     for read in (lambda: propagate(z, space, n_steps=10), lambda: gap_traces(z, space),
                  lambda: adiabaticity_diagnostic(z, space)):
         with pytest.raises(InvalidInputError, match="non-finite"):
+            read()
+    # finite samples whose Hamiltonian overflows: no spectrum to read
+    z = scheme_z_straight(30.0, 0.5, -1.0, p)
+    z = dataclasses.replace(z, channels={**z.channels, "delta": 1e308 * z.channels["delta"]})
+    for read in (lambda: gap_traces(z, space), lambda: adiabaticity_diagnostic(z, space)):
+        with pytest.raises(InvalidInputError, match="overflows"):
             read()
     times = x.times.copy()
     times[3] = np.nan
@@ -103,6 +111,13 @@ def test_bad_duration_raises(T):
         envelope_integral(T)
     with pytest.raises(InvalidInputError, match="duration"):
         seed_eps_x0(T, p)
+    for build in (lambda: scheme_x(T, 0.05, p), lambda: idle_schedule(T, p),
+                  lambda: scheme_y_drag(T, 0.1, -0.5, p, FockSpace(20)),
+                  lambda: scheme_z_robustline(T, 1.0, -0.5, p, lambda a2: 0.3 * np.ones_like(a2)),
+                  lambda: scheme_z_straight(T, 0.5, -0.5, p),
+                  lambda: scheme_xx_envelope(T, 1e-3)):
+        with pytest.raises(InvalidInputError, match="duration"):
+            build()
 
 
 def test_envelope_domain_guard():
@@ -164,6 +179,9 @@ def test_scheme_y_validation_and_envelope():
         scheme_y_drag(20.0, 0.5, 0.1, p, SPACE)  # positive ramp
     with pytest.raises(InvalidRampError):
         scheme_y_drag(20.0, 0.5, -2.5, p, SPACE)  # cat size would go negative
+    for mode in ("approx", "exact"):
+        with pytest.raises(InvalidRampError):
+            scheme_y_drag(20.0, 0.5, np.nan, p, SPACE, drag_mode=mode)
     s = scheme_y_drag(20.0, 0.5, -1.0, p, SPACE, drag_mode="off", n_samples=101)
     assert np.allclose(s.channels["eps_x"], 0.0)
     assert s.alpha2_of_t().min() == pytest.approx(1.0, abs=1e-12)

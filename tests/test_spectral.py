@@ -55,8 +55,9 @@ def test_spectrum_at_equals_labeled_explicit_hamiltonian(delta):
 def test_spectrum_at_shift_guard(delta):
     # the shift is the one value from outside the library; 1e308 is finite but
     # overflows H
-    with pytest.raises(InvalidInputError):
-        spectrum_at(KerrCatParams.from_alpha2(2.0), delta, FockSpace(10))
+    for read in (spectrum_at, energy_gap, gap_derivative):
+        with pytest.raises(InvalidInputError):
+            read(KerrCatParams.from_alpha2(2.0), delta, FockSpace(10))
 
 
 @pytest.mark.parametrize("alpha2", [0.5, 1.0, 2.0, 3.0])
@@ -115,6 +116,16 @@ def test_robust_line_matches_fine_scan_root():
         assert abs(robust_line(alpha2, space) - ref) < 1e-9, alpha2
 
 
+def test_robust_line_refuses_root_set_by_rounding():
+    # at dim 90 the derivative changes by 4.7e-7 across the bracket at
+    # alpha^2 8 but by 6.6e-13 at alpha^2 15, near its rounding of about 1e-14
+    space = FockSpace(90)
+    root = robust_line(8.0, space)
+    assert abs(gap_derivative(KerrCatParams.from_alpha2(8.0), root, space)) < 1e-12
+    with pytest.raises(IllConditionedError, match="rounding"):
+        robust_line(15.0, space)
+
+
 @pytest.mark.parametrize("alpha2", [0.2, 0.5, 0.8])
 def test_no_robust_point_for_small_cats(alpha2):
     with pytest.raises(NoRobustPointError, match="avoided crossing"):
@@ -149,10 +160,11 @@ def test_parity_label_error():
 
 def test_labeled_input_guards():
     space = FockSpace(6)
-    H = build_hamiltonian(KerrCatParams.from_alpha2(1.0), space)
-    H[0, 2] += 1e-3
-    with pytest.raises(InvalidInputError):
-        diagonalize_labeled(H)
+    for bad in (1e-3, np.nan):  # not Hermitian, not finite
+        H = build_hamiltonian(KerrCatParams.from_alpha2(1.0), space)
+        H[0, 2] += bad
+        with pytest.raises(InvalidInputError):
+            diagonalize_labeled(H)
 
 
 def test_degenerate_pair_rotated_to_parity_basis():
