@@ -104,9 +104,11 @@ def keeps_parity(op: np.ndarray) -> bool:
     return not (np.any(op[0::2, 1::2]) or np.any(op[1::2, 0::2]))
 
 
-#: float64 entries of any stacked array the library holds at once, a complex
-#: entry counting as two: 1 MiB (see :func:`stack_pieces`)
-STACK_ENTRIES = 2**17
+#: float64 entries of each stacked array the library holds at once, a complex
+#: entry counting as two: 256 KiB, so that a piece's whole working set (the
+#: stack, its eigenpairs and the temporaries beside them) stays near 1 MiB
+#: (see :func:`stack_pieces`)
+STACK_ENTRIES = 2**15
 
 
 def stack_pieces(n: int, item_shape, dtype, share: int = 1) -> list[slice]:

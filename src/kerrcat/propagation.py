@@ -80,9 +80,13 @@ def _step_eigenpairs(H: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
     """(phases, V) with exp(-i H dt) = V diag(phases) V^H, for a Hermitian matrix or stack.
 
     The phases e^{-i w dt} have shape (..., b) and V has shape (..., b, b);
-    a real ``H`` takes the real-symmetric eigensolver and keeps V real.
+    a real ``H`` takes the real-symmetric eigensolver and keeps V real. A
+    spectrum that is not finite (an ``H`` that overflows) raises
+    :class:`InvalidInputError`.
     """
     w, V = np.linalg.eigh(H)
+    if not np.all(np.isfinite(w)):
+        raise InvalidInputError("Hamiltonian overflows: its step spectrum is not finite")
     return np.exp(-1j * (w * dt)), V
 
 

@@ -298,32 +298,36 @@ def _drag_exact(times, eps2_mod, eps2_dot, eps_y, eps_y_dot, params, space):
     Raises AdiabaticityLossError if the smallest squared singular value of the
     pair's overlap with the previous sample's pair (span{C_+, C_-} at t = 0)
     falls below MIN_SUBSPACE_OVERLAP. The samples are diagonalized in the
-    bounded pieces of :func:`~kerrcat.fock.stack_pieces` and only the top
-    pair and its split are kept, so memory does not grow with the samples.
+    bounded pieces of :func:`~kerrcat.fock.stack_pieces`, and each piece's
+    pairs are checked and reduced to their split and matrix elements before
+    the next piece, carrying only the last pair, so memory does not grow with
+    the samples.
     """
     assembly = HamiltonianAssembly.build(params, space)
-    h2, hy, hx = (assembly.channels[name] for name in ("eps2_mod", "eps_y", "eps_x"))
+    ops = np.stack([assembly.channels[name] for name in ("eps2_mod", "eps_y", "eps_x")])
+    h2, hy = ops[:2]
     m = (len(times) + 1) // 2
     d = space.dim
-    pair = np.empty((m, d, 2), dtype=complex)
+    cats = cat_vectors(params.alpha, space)
+    last = np.column_stack([cats.plus_cat, cats.minus_cat])[None]
     split = np.empty(m)
+    m2, my, mx = np.empty((3, m), dtype=complex)
     for piece in stack_pieces(m, (d, d), complex):
         H = assembly.drift + eps2_mod[piece, None, None] * h2 + eps_y[piece, None, None] * hy
         energies, states = np.linalg.eigh(H)
-        pair[piece] = states[..., -2:]
+        # contiguous like the one-piece stack, so every product rounds the same
+        spans = np.concatenate([last, states[..., -2:]])
+        overlap = np.linalg.svd(spans[:-1].conj().transpose(0, 2, 1) @ spans[1:],
+                                compute_uv=False)
+        lost = np.flatnonzero(overlap[:, -1] ** 2 < MIN_SUBSPACE_OVERLAP)
+        if lost.size:
+            k = lost[0]
+            raise AdiabaticityLossError(f"computational subspace overlap {overlap[k, -1] ** 2:.3f} "
+                                        f"< {MIN_SUBSPACE_OVERLAP} at t={times[piece.start + k]:.3f}")
+        pair, last = spans[1:], spans[-1:]
         split[piece] = energies[:, -1] - energies[:, -2]
-
-    cats = cat_vectors(params.alpha, space)
-    spans = np.concatenate([np.column_stack([cats.plus_cat, cats.minus_cat])[None], pair])
-    overlap = np.linalg.svd(spans[:-1].conj().transpose(0, 2, 1) @ spans[1:], compute_uv=False)
-    lost = np.flatnonzero(overlap[:, -1] ** 2 < MIN_SUBSPACE_OVERLAP)
-    if lost.size:
-        k = lost[0]
-        raise AdiabaticityLossError(f"computational subspace overlap {overlap[k, -1] ** 2:.3f} "
-                                    f"< {MIN_SUBSPACE_OVERLAP} at t={times[k]:.3f}")
-
-    m2, my, mx = np.einsum("ki,oij,kj->ok", pair[..., 0].conj(), np.stack([h2, hy, hx]),
-                           pair[..., 1])
+        m2[piece], my[piece], mx[piece] = np.einsum("ki,oij,kj->ok", pair[..., 0].conj(), ops,
+                                                    pair[..., 1])
     num = eps2_dot[:m] * m2 + eps_y_dot[:m] * my
     # t = 0 (exactly degenerate pair, zero rates) and any middle sample stay zero
     k = np.arange(1, len(times) // 2)
@@ -351,6 +355,8 @@ def scheme_y_drag(
     """
     if not eps2_ramp0 <= 0:  # NaN too: the DRAG tables diagonalize the ramp before any table check
         raise InvalidRampError("eps2_ramp0 must be <= 0 (ramp lowers the cat size)")
+    if not np.isfinite(eps_y0):
+        raise InvalidInputError(f"eps_y0 must be finite, got {eps_y0}")
     times = np.linspace(0.0, _duration(T), n_samples)
     f = truncated_gaussian(times, T)
     fdot = truncated_gaussian_deriv(times, T)

@@ -531,16 +531,20 @@ def test_pieced_spectral_reducers_equal_one_piece(dim, n, alpha2, gauge, seed, b
 
 def test_stacked_spectra_peak_memory_bounded():
     # at the schedules' default 2001 samples and dim 40, unpieced stacks take
-    # 44 MiB (slope trace), 52 MiB (exact DRAG) and 63 MiB (filter weight)
+    # 44 MiB (slope trace), 52 MiB (exact DRAG) and 63 MiB (filter weight);
+    # the noise ensemble's kernel call propagates 16 OU rows of 1000 steps at dim 30
     space = FockSpace(40)
     p = KerrCatParams.from_alpha2(2.0)
     z = scheme_z_straight(30.0, 0.58872, -1.07378, p)
     t, _, deriv = gap_traces(z, space, n_samples=2001)
+    noise = NoiseModel("ornstein-uhlenbeck", {"sigma": 1e-2, "tau_c": 300.0}, seed=7)
+    traces = sample_noise(noise, z.duration, z.duration / 1000, n_traces=16)
     runs = {
         "gap_traces": lambda: gap_traces(z, space, n_samples=2001),
         "exact-DRAG scheme_y_drag": lambda: scheme_y_drag(20.0, 1.2, -0.5, p, space,
                                                           drag_mode="exact"),
         "filter_weight": lambda: filter_weight(t, deriv, default_frequency_grid(30.0)),
+        "noise kernel": lambda: propagate_many(z, FockSpace(30), traces, n_steps=1000),
     }
     for name, run in runs.items():
         tracemalloc.start()
@@ -549,7 +553,20 @@ def test_stacked_spectra_peak_memory_bounded():
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 8 * 2**20, f"{name}: peak {peak / 2**20:.1f} MiB"
+        assert peak <= 2 * 2**20, f"{name}: peak {peak / 2**20:.1f} MiB"
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("dim", [8, 20])  # full dimension, and the kept basis above 16 levels
+@pytest.mark.parametrize("offsets", [[1e308], [[1e308] * 10], [0.0, -1e308]],
+                         ids=["static", "per-step", "second-row"])
+def test_overflowing_offset_raises(dim, offsets):
+    # a finite offset whose Hamiltonian overflows has no step spectrum: it gave
+    # a NaN propagator, now a typed error (static, per-step and mixed rows)
+    z = scheme_z_straight(30.0, 0.5, -1.0, KerrCatParams.from_alpha2(2.0), n_samples=101)
+    with pytest.raises(InvalidInputError, match="overflows"):
+        propagate_many(z, FockSpace(dim), offsets, n_steps=10)
 
 
 @pytest.mark.parametrize("kind, size, in_worker, workers", [

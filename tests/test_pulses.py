@@ -1,10 +1,12 @@
 import dataclasses
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kerrcat import fock
 from kerrcat.fock import FockSpace, HamiltonianAssembly, InvalidInputError, KerrCatParams
 from kerrcat.noise import first_order_coefficient
 from kerrcat.propagation import adiabaticity_diagnostic, propagate
@@ -189,6 +191,15 @@ def test_scheme_y_validation_and_envelope():
         scheme_y_drag(20.0, 0.5, -1.0, p, SPACE, drag_mode="bogus")
 
 
+@pytest.mark.parametrize("mode", ["off", "approx", "exact"])
+@pytest.mark.parametrize("eps_y0", [np.nan, np.inf, -np.inf])
+def test_scheme_y_non_finite_amplitude_raises(mode, eps_y0):
+    # a NaN amplitude gave NaN schedules (off, approx) or numpy's LinAlgError (exact)
+    p = KerrCatParams.from_alpha2(2.0)
+    with pytest.raises(InvalidInputError, match="eps_y0"):
+        scheme_y_drag(20.0, eps_y0, -0.5, p, FockSpace(20), drag_mode=mode, n_samples=21)
+
+
 def test_approx_drag_vanishes_at_endpoints():
     p = KerrCatParams.from_alpha2(2.0)
     s = scheme_y_drag(25.0, 0.5, -0.8, p, SPACE, drag_mode="approx", n_samples=201)
@@ -233,6 +244,12 @@ def test_exact_drag_raises_on_lost_subspace():
     p = KerrCatParams.from_alpha2(2.0)
     with pytest.raises(AdiabaticityLossError):
         scheme_y_drag(20.0, 10.0, -0.5, p, SPACE, drag_mode="exact", n_samples=5)
+    # the pairs are checked piece by piece: with one sample per piece the first
+    # failing sample (t = 20/3, sample 2) lies in the third piece
+    for budget in (fock.STACK_ENTRIES, 1):
+        with mock.patch.object(fock, "STACK_ENTRIES", budget):
+            with pytest.raises(AdiabaticityLossError, match=r"0\.601 < 0\.81 at t=6\.667"):
+                scheme_y_drag(20.0, 6.0, -0.5, p, SPACE, drag_mode="exact", n_samples=7)
 
 
 def test_scheme_z_robustline_trajectory(robust_cache_2):
