@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import FockSpace, KerrCatParams
+from .fock import FockSpace, InvalidInputError, KerrCatParams
 from .pulses import PulseSchedule
 from .propagation import propagate_many
 from .spectral import spectrum_at
@@ -35,7 +35,7 @@ def infidelity(
     psi1: np.ndarray,
     frame_rotation: np.ndarray | None = None,
 ) -> float:
-    """Phase-insensitive infidelity of the projected 2x2 gate."""
+    """Phase-insensitive infidelity of the projected 2x2 gate; InvalidInputError if not finite."""
     U = unitary
     if frame_rotation is not None:
         U = frame_rotation.conj().T @ U
@@ -43,6 +43,8 @@ def infidelity(
     # the caller holds psi0 and psi1
     P = np.column_stack([psi0, psi1])
     m = P.conj().T @ (U @ P)
+    if not np.all(np.isfinite(m)):
+        raise InvalidInputError("projected gate is not finite")
     tr = np.trace(target.conj().T @ m)
     return float(max(0.0, 1.0 - abs(tr) ** 2 / 4.0))
 

@@ -124,13 +124,15 @@ def stack_pieces(n: int, item_shape, dtype, share: int = 1) -> list[slice]:
     return [slice(start, min(start + piece, n)) for start in range(0, n, piece)]
 
 
-def present_channels(ops, values):
-    """The operators that enter with some non-zero value, and their value columns.
+def present_channels(drift, ops, values):
+    """The operators that enter with some non-zero value, their value columns, and ``real``.
 
-    ``values[..., j]`` holds the scalars that multiply ``ops[j]``.
+    ``values[..., j]`` holds the scalars that multiply ``ops[j]``; ``real`` is
+    set when the drift and every present operator are real (see :func:`block_eigh`).
     """
     present = np.any(values, axis=tuple(range(values.ndim - 1)))
-    return [op for op, p in zip(ops, present) if p], values[..., present]
+    ops = [op for op, p in zip(ops, present) if p]
+    return ops, values[..., present], all(is_real(op) for op in (drift, *ops))
 
 
 def block_hamiltonians(drift, ops, values, block, real) -> np.ndarray:
@@ -150,6 +152,19 @@ def block_hamiltonians(drift, ops, values, block, real) -> np.ndarray:
     H = values.reshape(rows, len(ops)) @ mats[1:].reshape(len(ops), b * b)
     H += mats[0].reshape(-1)
     return H.reshape(*values.shape[:-1], b, b)
+
+
+def block_eigh(drift, ops, values, block, real) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending eigenpairs (w, V) of the :func:`block_hamiltonians` stack, V real if ``real``.
+
+    The library's one eigensolver call; an H that overflows raises :class:`InvalidInputError`.
+    """
+    H = block_hamiltonians(drift, ops, values, block, real)
+    if np.isfinite(H).all():
+        w, V = np.linalg.eigh(H)
+        if np.isfinite(w).all():
+            return w, V
+    raise InvalidInputError("Hamiltonian overflows: its spectrum is not finite")
 
 
 @lru_cache(maxsize=None)

@@ -16,7 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .cats import TruncationError
-from .fock import FockSpace
+from .fock import FockSpace, InvalidInputError
 from .fidelity import average_infidelity, computational_pair
 from .noise import first_order_coefficient
 from .propagation import propagate
@@ -93,7 +93,8 @@ def grid_search(
     parameter order), so identical inputs give identical records. Each
     refinement round re-centers a box ``SHRINK`` times smaller on the
     incumbent, clipped to the original bounds. An empty lattice
-    (``coarse_n`` < 1 or ``refine_rounds`` < 0) raises ValueError.
+    (``coarse_n`` < 1 or ``refine_rounds`` < 0) raises ValueError, a score
+    that is not finite InvalidInputError.
     """
     for name, value, low in (("coarse_n", coarse_n, 1), ("refine_rounds", refine_rounds, 0)):
         if value < low:
@@ -112,6 +113,8 @@ def grid_search(
         for pt in points:
             kwargs = dict(zip(space.names, (float(v) for v in pt)))
             score = evaluate(**kwargs)
+            if not np.isfinite(score):
+                raise InvalidInputError(f"non-finite score {score} at {kwargs}")
             n_eval += 1
             history.append({"round": round_idx, **kwargs, "score": score})
             if best is None or score < best[1]:

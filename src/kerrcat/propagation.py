@@ -45,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import (FockSpace, InvalidInputError, block_hamiltonians, is_real, keeps_parity,
+from .fock import (FockSpace, InvalidInputError, block_eigh, is_real, keeps_parity,
                    parity_blocks, present_channels, stack_pieces)
 from .pulses import PulseSchedule
 from .spectral import _parity_spectra, _spectra_pieces
@@ -76,17 +76,14 @@ class PropagationResult:
         return float(1.0 - s.min() ** 2)
 
 
-def _step_eigenpairs(H: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
-    """(phases, V) with exp(-i H dt) = V diag(phases) V^H, for a Hermitian matrix or stack.
+def _step_eigenpairs(drift, ops, values, block, real, dt) -> tuple[np.ndarray, np.ndarray]:
+    """(phases, V) with exp(-i H dt) = V diag(phases) V^H for each H of a table.
 
-    The phases e^{-i w dt} have shape (..., b) and V has shape (..., b, b);
-    a real ``H`` takes the real-symmetric eigensolver and keeps V real. A
-    spectrum that is not finite (an ``H`` that overflows) raises
-    :class:`InvalidInputError`.
+    H runs over the stack of (drift, ops, values) on ``block`` (see
+    :func:`~kerrcat.fock.block_eigh`); the phases e^{-i w dt} have shape
+    (..., b) and V has shape (..., b, b), real with ``real`` set.
     """
-    w, V = np.linalg.eigh(H)
-    if not np.all(np.isfinite(w)):
-        raise InvalidInputError("Hamiltonian overflows: its step spectrum is not finite")
+    w, V = block_eigh(drift, ops, values, block, real)
     return np.exp(-1j * (w * dt)), V
 
 
@@ -162,8 +159,7 @@ def _block_steps(drift, ops, values, block, real, dt, share):
     rows, n_steps, _ = values.shape
     b = len(range(drift.shape[0])[block])
     for piece in stack_pieces(n_steps, (rows, b, b), float if real else complex, share):
-        phases, V = _step_eigenpairs(
-            block_hamiltonians(drift, ops, values[:, piece], block, real), dt)
+        phases, V = _step_eigenpairs(drift, ops, values[:, piece], block, real, dt)
         for k in range(V.shape[1]):
             yield phases[:, k], V[:, k]
         del phases, V  # free this piece before the next one is diagonalized
@@ -187,13 +183,10 @@ def _propagate_steps(drift, ops, values, dt) -> np.ndarray:
     blocks share the bound ``STACK_ENTRIES`` on the step stacks held at once.
     """
     batch, n_steps, _ = values.shape
-    ops, values = present_channels(ops, values)
+    ops, values, real = present_channels(drift, ops, values)
     d = drift.shape[0]
-    real = all(is_real(op) for op in (drift, *ops))
-    if real and all(keeps_parity(op) for op in (drift, *ops)):
-        blocks = parity_blocks(d)
-    else:
-        blocks = (slice(0, d),)
+    parity = real and all(keeps_parity(op) for op in (drift, *ops))
+    blocks = parity_blocks(d) if parity else (slice(0, d),)
     s = _mirror_signs(drift, ops, values)
     if s is not None:
         values = values[:, :(n_steps + 1) // 2]

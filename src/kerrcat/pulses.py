@@ -23,8 +23,8 @@ import numpy as np
 
 from .cats import cat_vectors, matrix_elements
 from .fock import (CHANNELS, FockSpace, HamiltonianAssembly, InvalidInputError, KerrCatParams,
-                   stack_pieces)
-from .spectral import NoRobustPointError, _gap_slopes, _parity_spectra
+                   block_eigh, stack_pieces)
+from .spectral import NoRobustPointError, _gap_slopes, _spectra_pieces
 
 DEFAULT_SAMPLES = 2001
 
@@ -250,36 +250,30 @@ def scheme_x(
 
 # --- Y scheme with DRAG -----------------------------------------------------
 
-def _instantaneous_cat_tables(alpha2_values: np.ndarray, params: KerrCatParams, space: FockSpace):
-    """h_y couplings to the leakage states and their energies vs cat size.
+def _drag_approx(eps_y_dot, alpha2_t, params, space):
+    """First-order DRAG quadrature: proportional to the drive derivative.
 
-    Returns interpolating arrays (alpha2_grid, h12, h03, e2, e3) where
-    e2 = E(|2>) - E(|0>) and e3 = E(|3>) - E(|1>) (negative: the cat
-    manifold sits at the top of the spectrum).
+    The h_y couplings h12, h03 to the leakage states and their energies
+    e2 = E(|2>) - E(|0>), e3 = E(|3>) - E(|1>) (negative: the cat manifold
+    sits at the top of the spectrum) are tabled on 80 cat sizes spanning
+    ``alpha2_t``, taken in the bounded pieces of
+    :func:`~kerrcat.spectral._spectra_pieces`, and interpolated.
     """
-    a2_lo, a2_hi = float(np.min(alpha2_values)), float(np.max(alpha2_values))
+    a2_lo, a2_hi = float(np.min(alpha2_t)), float(np.max(alpha2_t))
     grid = np.linspace(a2_lo, max(a2_hi, a2_lo + 1e-9), 80)
     assembly = HamiltonianAssembly.build(KerrCatParams(kerr=params.kerr), space)
     hy_op = 2.0 * assembly.channels["eps_y"]  # -i (a - a^dag)
-    energies, states = _parity_spectra(assembly.drift, [assembly.channels["eps2_mod"]],
-                                       (grid * params.kerr)[:, None])
-    # columns 0, 1 are |0>, |1> and 2, 3 the next state down in each parity sector
-    bras, kets = states[..., [2, 3]].conj(), states[..., [1, 0]]
-    h12, h03 = np.abs(np.einsum("kin,ij,kjn->nk", bras, hy_op, kets))
-    e2, e3 = (energies[:, 2:4] - energies[:, :2]).T
-    return grid, h12, h03, e2, e3
-
-
-def _drag_approx(times, eps_y_dot, alpha2_t, params, space):
-    """First-order DRAG quadrature: proportional to the drive derivative."""
-    grid, h12, h03, e2, e3 = _instantaneous_cat_tables(alpha2_t, params, space)
-    h12_t = np.interp(alpha2_t, grid, h12)
-    h03_t = np.interp(alpha2_t, grid, h03)
-    e2_t = np.interp(alpha2_t, grid, e2)
-    e3_t = np.interp(alpha2_t, grid, e3)
+    tables = np.empty((4, len(grid)))  # h12, h03, e2, e3
+    for piece, energies, states in _spectra_pieces(assembly.drift, [assembly.channels["eps2_mod"]],
+                                                   (grid * params.kerr)[:, None]):
+        # columns 0, 1 are |0>, |1> and 2, 3 the next state down in each parity sector
+        bras, kets = states[..., [2, 3]].conj(), states[..., [1, 0]]
+        tables[:2, piece] = np.abs(np.einsum("kin,ij,kjn->nk", bras, hy_op, kets))
+        tables[2:, piece] = (energies[:, 2:4] - energies[:, :2]).T
+    h12, h03, e2, e3 = (np.interp(alpha2_t, grid, table) for table in tables)
     alphas = np.sqrt(np.maximum(alpha2_t, 0.0))
     hx_t, hy_t = np.array([matrix_elements(a) for a in alphas]).T
-    return (h12_t**2 / e2_t - h03_t**2 / e3_t) / (4.0 * hy_t * hx_t) * eps_y_dot
+    return (h12**2 / e2 - h03**2 / e3) / (4.0 * hy_t * hx_t) * eps_y_dot
 
 
 #: smallest accepted squared overlap between consecutive computational subspaces
@@ -305,7 +299,7 @@ def _drag_exact(times, eps2_mod, eps2_dot, eps_y, eps_y_dot, params, space):
     """
     assembly = HamiltonianAssembly.build(params, space)
     ops = np.stack([assembly.channels[name] for name in ("eps2_mod", "eps_y", "eps_x")])
-    h2, hy = ops[:2]
+    table = np.column_stack([eps2_mod, eps_y])
     m = (len(times) + 1) // 2
     d = space.dim
     cats = cat_vectors(params.alpha, space)
@@ -313,8 +307,7 @@ def _drag_exact(times, eps2_mod, eps2_dot, eps_y, eps_y_dot, params, space):
     split = np.empty(m)
     m2, my, mx = np.empty((3, m), dtype=complex)
     for piece in stack_pieces(m, (d, d), complex):
-        H = assembly.drift + eps2_mod[piece, None, None] * h2 + eps_y[piece, None, None] * hy
-        energies, states = np.linalg.eigh(H)
+        energies, states = block_eigh(assembly.drift, [*ops[:2]], table[piece], slice(None), False)
         # contiguous like the one-piece stack, so every product rounds the same
         spans = np.concatenate([last, states[..., -2:]])
         overlap = np.linalg.svd(spans[:-1].conj().transpose(0, 2, 1) @ spans[1:],
@@ -369,7 +362,7 @@ def scheme_y_drag(
     if drag_mode == "off":
         eps_x = np.zeros_like(times)
     elif drag_mode == "approx":
-        eps_x = _drag_approx(times, eps_y0 * fdot, alpha2_t, params, space)
+        eps_x = _drag_approx(eps_y0 * fdot, alpha2_t, params, space)
     elif drag_mode == "exact":
         eps_x = _drag_exact(times, eps2_mod, eps2_ramp0 * fdot, eps_y, eps_y0 * fdot,
                             params, space)

@@ -27,9 +27,8 @@ from .fock import (
     HamiltonianAssembly,
     InvalidInputError,
     KerrCatParams,
-    block_hamiltonians,
+    block_eigh,
     hermiticity_defect,
-    is_real,
     keeps_parity,
     parity_blocks,
     present_channels,
@@ -81,18 +80,16 @@ class LabeledSpectrum:
 
 
 def _block_spectra(drift: np.ndarray, ops, values: np.ndarray, real: bool):
-    """:func:`_parity_spectra` of present channels; an overflowing H raises InvalidInputError."""
+    """:func:`_parity_spectra` of the table that :func:`~kerrcat.fock.present_channels` returns."""
     d = drift.shape[-1]
     energies = np.empty((*values.shape[:-1], d))
     states = np.zeros((*values.shape[:-1], d, d), dtype=float if real else complex)
     for block in parity_blocks(d):
-        w, V = np.linalg.eigh(block_hamiltonians(drift, ops, values, block, real))
+        w, V = block_eigh(drift, ops, values, block, real)
         pivot = np.take_along_axis(V, np.argmax(np.abs(V), axis=-2)[..., None, :], axis=-2)
         # a sector's columns are its Fock rows, filled from the top state down
         energies[..., block] = w[..., ::-1]
         states[..., block, block] = (V / (pivot / np.abs(pivot)))[..., ::-1]
-    if not np.all(np.isfinite(energies)):
-        raise InvalidInputError("Hamiltonian overflows: its spectrum is not finite")
     return energies, states
 
 
@@ -107,8 +104,7 @@ def _parity_spectra(drift: np.ndarray, ops, values: np.ndarray) -> tuple[np.ndar
     columns 0 and 1, and the next state down in each sector is column 2 or 3.
     Each state's largest-magnitude Fock coefficient is real and positive.
     """
-    ops, values = present_channels(ops, values)
-    return _block_spectra(drift, ops, values, all(is_real(op) for op in (drift, *ops)))
+    return _block_spectra(drift, *present_channels(drift, ops, values))
 
 
 def _spectra_pieces(drift: np.ndarray, ops, values: np.ndarray):
@@ -121,10 +117,9 @@ def _spectra_pieces(drift: np.ndarray, ops, values: np.ndarray):
     is taken in. Raises :class:`ParityLabelError` when a present channel
     couples the parity sectors (a single-photon drive).
     """
-    ops, values = present_channels(ops, values)
+    ops, values, real = present_channels(drift, ops, values)
     if not all(keeps_parity(op) for op in ops):
         raise ParityLabelError("a channel couples the parity sectors")
-    real = all(is_real(op) for op in (drift, *ops))
     for piece in stack_pieces(len(values), (*values.shape[1:-1], *drift.shape),
                               float if real else complex):
         yield piece, *_block_spectra(drift, ops, values[piece], real)

@@ -21,7 +21,7 @@ import numpy as np
 from .cats import matrix_elements
 from .fidelity import computational_pair
 from .fock import (FockSpace, HamiltonianAssembly, InvalidInputError, KerrCatParams, destroy,
-                   is_real)
+                   present_channels)
 from .propagation import _apply_step, _step_eigenpairs, _step_grid
 from .pulses import PAULI_X, PAULI_Y
 
@@ -170,9 +170,9 @@ def full_two_mode_propagate(
 
     Each mode is detuned by its own ``params.delta``; the steps split
     [0, last envelope time] as in ``propagate_many``. One full-dimension
-    ``eigh`` per step, real when the beamsplitter phase makes the coupling
-    real; each step is applied to the running product from its eigenpairs,
-    so no step exponential is formed.
+    ``eigh`` per step, real when the coupling is real or absent (g = 0
+    throughout); each step is applied to the running product from its
+    eigenpairs, so no step exponential is formed.
     """
     if space.dim > 24:
         raise ValueError("per-mode dim > 24 is beyond the intended scale here")
@@ -181,13 +181,11 @@ def full_two_mode_propagate(
         raise InvalidInputError("non-finite coupling envelope")
     mid, dt = _step_grid(times[-1], n_steps)
     H0, coupling = two_mode_hamiltonian_parts(params_A, params_B, space, phase)
-    g_mid = np.interp(mid, times, g)
-    if is_real(H0) and is_real(coupling):
-        H0, coupling = H0.real, coupling.real
+    ops, values, real = present_channels(H0, [coupling], np.interp(mid, times, g)[:, None])
     U = np.eye(H0.shape[0], dtype=complex)
     work = np.empty_like(U)
-    for gk in g_mid:
-        _apply_step(_step_eigenpairs(H0 + gk * coupling, dt), U, work)
+    for row in values:
+        _apply_step(_step_eigenpairs(H0, ops, row, slice(None), real, dt), U, work)
     return U
 
 

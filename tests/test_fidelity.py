@@ -3,7 +3,7 @@ import pytest
 
 from kerrcat.fidelity import (InfidelityGrid, average_infidelity,
                               computational_pair, infidelity, simpson_nodes)
-from kerrcat.fock import FockSpace, KerrCatParams
+from kerrcat.fock import FockSpace, InvalidInputError, KerrCatParams
 from kerrcat.pulses import rot_x, scheme_x
 
 SPACE = FockSpace(30)
@@ -46,6 +46,17 @@ def test_full_leakage_is_one():
     swap[2, 0] = swap[3, 1] = swap[0, 2] = swap[1, 3] = 1.0
     U = U - block @ block.conj().T + block @ swap @ block.conj().T
     assert infidelity(U, rot_x(np.pi / 2), psi0, psi1) == pytest.approx(1.0, abs=1e-10)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("bad", ["nan", "inf identity"])
+def test_non_finite_gate_raises(bad):
+    # max(0, nan) is 0: a NaN propagator, or an inf identity, scored as a perfect gate
+    p = KerrCatParams.from_alpha2(2.0)
+    psi0, psi1 = computational_pair(p, FockSpace(20))
+    U = np.full((20, 20), np.nan, complex) if bad == "nan" else np.inf * np.eye(20)
+    with pytest.raises(InvalidInputError, match="not finite"):
+        infidelity(U, rot_x(np.pi / 2), psi0, psi1)
 
 
 def test_infidelity_ignores_pair_layout():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from kerrcat.cats import TruncationError
-from kerrcat.fock import FockSpace, KerrCatParams
+from kerrcat.fock import FockSpace, InvalidInputError, KerrCatParams
 from kerrcat.optimize import (INFEASIBLE_SCORE, OptimizationRecord, ParamSpace,
                               grid_optimize, grid_search)
 from kerrcat.pulses import AdiabaticityLossError, InvalidRampError, scheme_x, scheme_y_drag
@@ -52,6 +52,18 @@ def test_empty_lattice_rejected(kwargs, name):
     with pytest.raises(ValueError, match=name):
         grid_search(lambda **kw: calls.append(kw) or 0.0, ps, **kwargs)
     assert not calls
+
+
+@pytest.mark.parametrize("bad_x", [0.0, 0.5])
+def test_non_finite_score_raises(bad_x):
+    # a NaN at the first lattice point became the incumbent; a later one was skipped
+    ps = ParamSpace.from_dict({"x": (0.0, 1.0)})
+
+    def objective(x):
+        return np.nan if x == bad_x else (x - 0.7) ** 2
+
+    with pytest.raises(InvalidInputError, match=f"'x': {bad_x}"):
+        grid_search(objective, ps, coarse_n=5, refine_rounds=1)
 
 
 def test_determinism():

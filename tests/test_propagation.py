@@ -91,13 +91,12 @@ def _expm_product(drift, ops, values, dt):
 
 def _sequential_product(drift, ops, values, dt):
     """Reference: every step's eigenpairs applied to the identity in time order, unfolded."""
-    ops, values = present_channels(ops, values)
+    ops, values, real = present_channels(drift, ops, values)
     d = drift.shape[0]
-    real = all(is_real(op) for op in (drift, *ops))
     parity = real and all(keeps_parity(op) for op in (drift, *ops))
     U = np.zeros((len(values), d, d), dtype=complex)
     for block in parity_blocks(d) if parity else (slice(0, d),):
-        phases, V = _step_eigenpairs(block_hamiltonians(drift, ops, values, block, real), dt)
+        phases, V = _step_eigenpairs(drift, ops, values, block, real, dt)
         prod = np.broadcast_to(np.eye(V.shape[-1], dtype=complex), V[:, 0].shape).copy()
         work = np.empty_like(prod)
         for k in range(values.shape[1]):
@@ -114,22 +113,27 @@ def test_apply_step_matches_expm(kind, dim, batch_shape, n_prior, seed, dt):
     # each step is applied in place to a running product of the steps before
     # it; V stays real on the parity-block and real paths
     rng = np.random.default_rng(seed)
+    real = kind != "complex"
     if kind == "parity":
         asm, ops, _ = _random_channels("parity", dim, 1, 1, seed)
+        drift, block = asm.drift, parity_blocks(dim)[seed % 2]
         values = rng.uniform(-1.0, 1.0, size=(n_prior + 1, *batch_shape, len(ops)))
-        H = block_hamiltonians(asm.drift, ops, values, parity_blocks(dim)[seed % 2], True)
     else:
         A = rng.standard_normal((n_prior + 1, *batch_shape, dim, dim))
         if kind == "complex":
             A = A + 1j * rng.standard_normal(A.shape)
-        H = A + np.swapaxes(A, -1, -2).conj()
+        # the random matrices as a table: one operator each, picked by a one-hot row
+        ops = list((A + np.swapaxes(A, -1, -2).conj()).reshape(-1, dim, dim))
+        drift, block = np.zeros((dim, dim)), slice(0, dim)
+        values = np.eye(len(ops)).reshape(*A.shape[:-2], len(ops))
+    H = block_hamiltonians(drift, ops, values, block, real)
     b = H.shape[-1]
     U = np.broadcast_to(np.eye(b, dtype=complex), H.shape[1:]).copy()
     ref = U.reshape(-1, b, b).copy()
     work = np.empty_like(U)
-    for Hk in H:
-        step = _step_eigenpairs(Hk, dt)
-        assert np.isrealobj(step[1]) == (kind != "complex")
+    for k, Hk in enumerate(H):
+        step = _step_eigenpairs(drift, ops, values[k], block, real, dt)
+        assert np.isrealobj(step[1]) == real
         assert _apply_step(step, U, work) is U
         ref = np.array([expm(-1j * h * dt) @ r for h, r in zip(Hk.reshape(-1, b, b), ref)])
     err = np.linalg.norm(U.reshape(-1, b, b) - ref, ord=2, axis=(1, 2))
@@ -532,6 +536,7 @@ def test_pieced_spectral_reducers_equal_one_piece(dim, n, alpha2, gauge, seed, b
 def test_stacked_spectra_peak_memory_bounded():
     # at the schedules' default 2001 samples and dim 40, unpieced stacks take
     # 44 MiB (slope trace), 52 MiB (exact DRAG) and 63 MiB (filter weight);
+    # the approximate DRAG's 80 cat sizes took 4.2 MiB in one stack at dim 60;
     # the noise ensemble's kernel call propagates 16 OU rows of 1000 steps at dim 30
     space = FockSpace(40)
     p = KerrCatParams.from_alpha2(2.0)
@@ -543,6 +548,8 @@ def test_stacked_spectra_peak_memory_bounded():
         "gap_traces": lambda: gap_traces(z, space, n_samples=2001),
         "exact-DRAG scheme_y_drag": lambda: scheme_y_drag(20.0, 1.2, -0.5, p, space,
                                                           drag_mode="exact"),
+        "approx-DRAG scheme_y_drag": lambda: scheme_y_drag(20.0, 1.2, -0.5, p, FockSpace(60),
+                                                           drag_mode="approx"),
         "filter_weight": lambda: filter_weight(t, deriv, default_frequency_grid(30.0)),
         "noise kernel": lambda: propagate_many(z, FockSpace(30), traces, n_steps=1000),
     }

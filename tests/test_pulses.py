@@ -200,6 +200,17 @@ def test_scheme_y_non_finite_amplitude_raises(mode, eps_y0):
         scheme_y_drag(20.0, eps_y0, -0.5, p, FockSpace(20), drag_mode=mode, n_samples=21)
 
 
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+def test_exact_drag_overflowing_amplitude_raises():
+    # a finite amplitude whose Hamiltonian overflows in the first piece gave
+    # numpy's LinAlgError; at 2001 samples the first piece stays finite and the
+    # subspace check fires first
+    p = KerrCatParams.from_alpha2(2.0)
+    with pytest.raises(InvalidInputError, match="overflows"):
+        scheme_y_drag(20.0, 1e308, -0.5, p, FockSpace(20), drag_mode="exact", n_samples=101)
+
+
 def test_approx_drag_vanishes_at_endpoints():
     p = KerrCatParams.from_alpha2(2.0)
     s = scheme_y_drag(25.0, 0.5, -0.8, p, SPACE, drag_mode="approx", n_samples=201)

@@ -178,6 +178,19 @@ def test_full_two_mode_one_eigh_per_step_matches_expm(dim, phase):
     assert np.linalg.norm(U - ref, ord=2) < 1e-12
 
 
+def test_full_two_mode_g_zero_takes_real_path():
+    # with g = 0 throughout the coupling is absent, so a complex phase does not
+    # force the complex eigensolver: the steps are the real drift's
+    space = FockSpace(3)
+    pa = KerrCatParams.from_alpha2(1.0)
+    times = np.linspace(0.0, 4.0, 41)
+    with recorded_eigh() as seen:
+        U = full_two_mode_propagate(pa, pa, space, (times, np.zeros(41)), phase=0.7, n_steps=5)
+    assert seen == [(np.float64, (9, 9))] * 5
+    ref = full_two_mode_propagate(pa, pa, space, (times, np.zeros(41)), n_steps=5)
+    assert np.array_equal(U, ref)
+
+
 def test_full_two_mode_rejects_bad_input():
     pa = KerrCatParams.from_alpha2(1.0)
     space = FockSpace(3)
