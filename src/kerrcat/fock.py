@@ -138,13 +138,11 @@ def present_channels(drift, ops, values):
 def block_hamiltonians(drift, ops, values, block, real) -> np.ndarray:
     """drift + sum_j values[..., j] ops[j] on the ``block`` x ``block`` slice, stacked.
 
-    The stack runs over the leading axes of ``values``; with ``real`` set
-    the imaginary parts are dropped and the stack is float64. Without
+    The stack runs over the leading axes of ``values``; with ``real`` set it is
+    float64, each block's imaginary part dropped before it is copied. Without
     operators the drift block is broadcast over the stack (a read-only view).
     """
-    mats = np.array([drift[block, block], *(op[block, block] for op in ops)])
-    if real:
-        mats = mats.real
+    mats = np.array([m[block, block].real if real else m[block, block] for m in (drift, *ops)])
     b = mats.shape[-1]
     if not ops:
         return np.broadcast_to(mats[0], (*values.shape[:-1], b, b))

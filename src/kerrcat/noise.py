@@ -29,7 +29,7 @@ import numpy as np
 
 from .fidelity import _pair_infidelities
 from .fock import FockSpace, InvalidInputError, stack_pieces
-from .pulses import PulseSchedule, gap_traces
+from .pulses import PulseSchedule, _count, _duration, gap_traces
 
 NOISE_KINDS = ("static", "gaussian-quasistatic", "ornstein-uhlenbeck", "tabulated-psd")
 
@@ -133,12 +133,13 @@ def sample_noise(noise: NoiseModel, T: float, dt: float, n_traces: int = 1) -> n
     autocorrelation is exp(-|tau|/tau_c) at any step size. Each trace gets its
     own derived seed, from which its start and kicks are drawn, and the
     ensemble is reproducible given the model's seed; one loop over the steps
-    updates all traces at once. A ``dt`` that is not finite and positive
-    raises :class:`~kerrcat.fock.InvalidInputError`.
+    updates all traces at once. A ``T`` or ``dt`` that is not finite and
+    positive, or ``n_traces`` not an integer >= 1, raises InvalidInputError.
     """
     if not (np.isfinite(dt) and dt > 0):
         raise InvalidInputError(f"dt must be finite and positive, got {dt}")
-    n = int(round(T / dt))
+    _count(n_traces, 1, "n_traces")
+    n = int(round(_duration(T) / dt))
     rng = np.random.default_rng(noise.seed)
     if noise.kind == "static":
         return np.full((n_traces, n), float(noise.parameters["value"]))
@@ -289,9 +290,7 @@ def monte_carlo_infidelity(
     All traces are propagated in one :func:`propagate_many` call. ``n_traces``
     or ``n_steps`` below 1 raises :class:`~kerrcat.fock.InvalidInputError`.
     """
-    for name, value in (("n_traces", n_traces), ("n_steps", n_steps)):
-        if value < 1:
-            raise InvalidInputError(f"{name} must be >= 1, got {value}")
-    dt = schedule.duration / n_steps
+    _count(n_traces, 1, "n_traces")
+    dt = schedule.duration / _count(n_steps, 1, "n_steps")
     traces = sample_noise(noise, schedule.duration, dt, n_traces=n_traces)
     return sum(_pair_infidelities(schedule, space, traces, n_steps)) / n_traces

@@ -21,7 +21,7 @@ from .fidelity import average_infidelity, computational_pair
 from .noise import first_order_coefficient
 from .propagation import propagate
 from .pulses import (AdiabaticityLossError, InvalidRampError, PulseSchedule,
-                     SchemeInfeasibleError, scheme_z_straight)
+                     SchemeInfeasibleError, _count, scheme_z_straight)
 
 INFEASIBLE_SCORE = 1.0
 #: each refinement round's box is this many times smaller than the last
@@ -92,13 +92,12 @@ def grid_search(
     score. Ties break toward the earlier lattice point (lexicographic
     parameter order), so identical inputs give identical records. Each
     refinement round re-centers a box ``SHRINK`` times smaller on the
-    incumbent, clipped to the original bounds. An empty lattice
-    (``coarse_n`` < 1 or ``refine_rounds`` < 0) raises ValueError, a score
-    that is not finite InvalidInputError.
+    incumbent, clipped to the original bounds. A ``coarse_n`` that is not
+    an integer >= 1, a ``refine_rounds`` that is not one >= 0 (an empty
+    lattice) and a score that is not finite raise InvalidInputError.
     """
-    for name, value, low in (("coarse_n", coarse_n, 1), ("refine_rounds", refine_rounds, 0)):
-        if value < low:
-            raise ValueError(f"{name} must be >= {low}, got {value}")
+    _count(coarse_n, 1, "coarse_n")
+    _count(refine_rounds, 0, "refine_rounds")
     lo0 = np.asarray(space.lower, dtype=float)
     hi0 = np.asarray(space.upper, dtype=float)
     lo, hi = lo0.copy(), hi0.copy()

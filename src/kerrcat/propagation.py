@@ -25,17 +25,10 @@ On any path, a schedule whose steps mirror in time, H_{n-1-k} = S H_k^* S
 with S the identity or photon-number parity, diagonalizes only its first
 half of the steps (the gate envelopes are symmetric about T/2).
 
-:func:`propagate_many` runs the kernel in a kept basis when the Fock
-dimension d exceeds ``KEPT_STATES`` and the drift is real and keeps parity
-(every single-mode schedule): the drift is diagonalized once, and its top
-``KEPT_STATES`` ladder states, the first columns of
-:func:`~kerrcat.spectral._parity_spectra`, are kept, so index parity is
-photon parity and kept columns 0 and 1 are the computational pair. The kernel propagates
-diag(E) + sum_j v_j V^T O_j V, and the result is lifted back as
-U = V U_M V^T + (1 - V V^T): unitary, and the identity on the discarded
-states. A gate reads the final population of the computational columns on
-the last ``EDGE_STATES`` kept states; above ``EDGE_TOL`` the call is
-propagated again as the full-dimension kernel call.
+:func:`propagate_many` runs the kernel in a gated kept basis (see there):
+the drift is diagonalized once and its top ``KEPT_STATES`` ladder states, the
+first columns of :func:`~kerrcat.spectral._parity_spectra`, are kept, so index
+parity is photon parity; the kernel propagates diag(E) + sum_j v_j V^T O_j V.
 """
 
 from __future__ import annotations
@@ -47,7 +40,7 @@ import numpy as np
 
 from .fock import (FockSpace, InvalidInputError, block_eigh, is_real, keeps_parity,
                    parity_blocks, present_channels, stack_pieces)
-from .pulses import PulseSchedule
+from .pulses import PulseSchedule, _count, _sample_times
 from .spectral import _parity_spectra, _spectra_pieces
 
 
@@ -106,6 +99,25 @@ def _apply_step(step, U: np.ndarray, work: np.ndarray) -> np.ndarray:
         work *= phases[..., :, None]
         np.matmul(V, work, out=U)
     return U
+
+
+def _time_ordered(steps, n_steps: int, shape, mirror=None) -> np.ndarray:
+    """The identity of ``shape`` times ``n_steps`` steps ``(phases, V)`` from ``steps``, in order.
+
+    With ``mirror``, the diagonal of S of a mirror-symmetric schedule (see
+    :func:`_mirror_signs`), only the first ceil(n/2) steps are taken: with A the
+    product of the first floor(n/2), U = S A^T S A, the middle step between for odd n.
+    """
+    prod = np.broadcast_to(np.eye(shape[-1], dtype=complex), shape).copy()
+    work = np.empty_like(prod)
+    for _ in range(n_steps if mirror is None else n_steps // 2):
+        _apply_step(next(steps), prod, work)
+    if mirror is not None:
+        folded = np.outer(mirror, mirror) * np.swapaxes(prod, -1, -2)
+        if n_steps % 2:
+            _apply_step(next(steps), prod, work)
+        prod = folded @ prod
+    return prod
 
 
 def _mirror_signs(drift, ops, values):
@@ -169,18 +181,10 @@ def _propagate_steps(drift, ops, values, dt) -> np.ndarray:
     """Time-ordered products of the midpoint steps exp(-i H_k dt).
 
     ``H_k = drift + sum_j values[b, k, j] ops[j]`` for ``values`` of shape
-    (batch, n_steps, len(ops)); returns the (batch, d, d) propagators. Each
-    step is applied to the running product from its eigenpairs (see
-    :func:`_apply_step`), starting from the identity.
-
-    A mirror-symmetric schedule (see :func:`_mirror_signs`) is folded: only
-    the first ceil(n/2) steps are diagonalized, and with A the product of
-    the first floor(n/2) of them, U = S A^T S A, with the middle step
-    between the two factors when n is odd.
-
-    The caller runs the first block; a second block (the odd parity block)
-    goes to one worker thread that does not outlive the call, and the
-    blocks share the bound ``STACK_ENTRIES`` on the step stacks held at once.
+    (batch, n_steps, len(ops)); returns the (batch, d, d) propagators, each
+    block's from :func:`_time_ordered`, folded when the schedule mirrors
+    (see :func:`_mirror_signs`). The caller runs the first block and one
+    worker thread, joined before the call returns, the odd parity block.
     """
     batch, n_steps, _ = values.shape
     ops, values, real = present_channels(drift, ops, values)
@@ -194,17 +198,8 @@ def _propagate_steps(drift, ops, values, dt) -> np.ndarray:
 
     def block_product(block):
         steps = _block_steps(drift, ops, values, block, real, dt, len(blocks))
-        b = len(range(d)[block])
-        prod = np.broadcast_to(np.eye(b, dtype=complex), (batch, b, b)).copy()
-        work = np.empty_like(prod)
-        for _ in range(n_steps if s is None else n_steps // 2):
-            _apply_step(next(steps), prod, work)
-        if s is not None:
-            mirror = np.outer(s[block], s[block]) * np.swapaxes(prod, -1, -2)
-            if n_steps % 2:
-                _apply_step(next(steps), prod, work)
-            prod = mirror @ prod
-        U[:, block, block] = prod
+        U[:, block, block] = _time_ordered(steps, n_steps, U[:, block, block].shape,
+                                           None if s is None else s[block])
 
     first, *rest = blocks
     with ThreadPoolExecutor(max_workers=1) as pool:
@@ -238,9 +233,7 @@ def _kept_propagate(drift, ops, values, dt) -> np.ndarray:
 
 def _step_grid(duration: float, n_steps: int) -> tuple[np.ndarray, float]:
     """Midpoints and width of ``n_steps`` >= 1 equal steps over [0, duration]."""
-    if n_steps < 1:
-        raise InvalidInputError(f"n_steps must be >= 1, got {n_steps}")
-    times = np.linspace(0.0, duration, n_steps + 1)
+    times = np.linspace(0.0, duration, _count(n_steps, 1, "n_steps") + 1)
     return 0.5 * (times[:-1] + times[1:]), times[1] - times[0]
 
 
@@ -326,7 +319,7 @@ def adiabaticity_diagnostic(
     :func:`~kerrcat.fock.stack_pieces`) and only a running maximum is kept,
     so memory does not grow with ``n_samples``.
     """
-    t = np.linspace(0.0, schedule.duration, n_samples)
+    t = _sample_times(schedule.duration, n_samples)
     drift, ops, values = schedule.hamiltonian_table(space, t)
     # dH/dt from the channel envelopes: forward difference, backward at t = T
     rates = np.diff(values, axis=0) / np.diff(t)[:, None]

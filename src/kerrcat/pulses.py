@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
-from numbers import Real
+from numbers import Integral, Real
 from typing import Callable
 
 import numpy as np
@@ -94,6 +94,29 @@ def _duration(T: float) -> float:
     return T
 
 
+def _count(n, least: int, name: str) -> int:
+    """``n`` if it is an integer >= ``least`` and not a bool; else InvalidInputError naming it."""
+    if isinstance(n, bool) or not isinstance(n, Integral) or n < least:
+        raise InvalidInputError(f"{name} must be an integer >= {least}, got {n!r}")
+    return n
+
+
+def _sample_times(T: float, n_samples: int) -> np.ndarray:
+    """``n_samples`` >= 2 equally spaced times on [0, T]; see :func:`_duration`, :func:`_count`."""
+    return np.linspace(0.0, _duration(T), _count(n_samples, 2, "n_samples"))
+
+
+def _check_grid(times, *samples, what: str) -> None:
+    """Check ``times`` and ``samples`` of ``what``: finite, aligned, >= 2 times rising from 0."""
+    if not all(np.all(np.isfinite(v)) for v in (times, *samples)):
+        raise InvalidInputError(f"{what} has a non-finite time or sample")
+    if len(times) < 2 or times[0] != 0 or np.any(np.diff(times) <= 0):
+        raise InvalidInputError(f"{what} times must start at 0 and strictly increase over at "
+                                f"least 2 samples")
+    if any(len(v) != len(times) for v in samples):
+        raise InvalidInputError(f"{what} has {len(times)} times but samples of another length")
+
+
 def envelope_integral(T: float) -> float:
     """Integral of the truncated Gaussian over its full duration ``T`` (see :func:`_duration`)."""
     # scipy.integrate.quad's result bit for bit, without importing scipy: quad's
@@ -161,19 +184,17 @@ class PulseSchedule:
     frame_rotation: np.ndarray | None = None
 
     def __post_init__(self):
-        n = len(self.times)
-        for name, values in self.channels.items():
-            if len(values) != n:
-                raise ValueError(f"channel {name!r} length {len(values)} != grid {n}")
+        if not set(self.channels) <= set(CHANNELS):
+            raise InvalidInputError(f"channels {sorted(self.channels)} not all in {CHANNELS}")
+        if any(len(v) != len(self.times) for v in self.channels.values()):
+            raise ValueError(f"{self.scheme} channels differ in length from its times")
 
     @property
     def duration(self) -> float:
         return float(self.times[-1])
 
     def channel(self, name: str) -> np.ndarray:
-        if name in self.channels:
-            return self.channels[name]
-        return np.zeros_like(self.times)
+        return self.channels.get(name, np.zeros_like(self.times))
 
     def channel_at(self, name: str, t) -> np.ndarray:
         return np.interp(t, self.times, self.channel(name))
@@ -190,16 +211,10 @@ class PulseSchedule:
         """(drift, ops, values) with H(t[k]) = drift + sum_j values[k, j] ops[j].
 
         One column per channel, ``delta`` first (zero when the schedule has
-        none), then the schedule's other channels in their order. Raises
-        :class:`InvalidInputError` when a time or a channel sample is not
-        finite, or when ``times`` is not a grid of at least 2 samples that
-        starts at 0 and strictly increases.
+        none), then the schedule's other channels in their order, once
+        :func:`_check_grid` passes on the times and channels.
         """
-        if not all(np.all(np.isfinite(v)) for v in (self.times, *self.channels.values())):
-            raise InvalidInputError(f"{self.scheme} schedule has a non-finite time or sample")
-        if len(self.times) < 2 or self.times[0] != 0 or np.any(np.diff(self.times) <= 0):
-            raise InvalidInputError(f"{self.scheme} schedule times must start at 0 and strictly "
-                                    f"increase over at least 2 samples")
+        _check_grid(self.times, *self.channels.values(), what=f"{self.scheme} schedule")
         assembly = HamiltonianAssembly.build(self.base, space)
         names = ["delta", *(c for c in self.channels if c != "delta")]
         values = np.column_stack([self.channel_at(name, t) for name in names])
@@ -216,7 +231,7 @@ class PulseSchedule:
 
 def idle_schedule(T: float, params: KerrCatParams, n_samples: int = DEFAULT_SAMPLES) -> PulseSchedule:
     """All channels zero; evolution under the bare drift."""
-    times = np.linspace(0.0, _duration(T), n_samples)
+    times = _sample_times(T, n_samples)
     return PulseSchedule(times=times, channels={}, target=np.eye(2, dtype=complex),
                          scheme="IDLE", base=params)
 
@@ -237,7 +252,7 @@ def scheme_x(
     n_samples: int = DEFAULT_SAMPLES,
 ) -> PulseSchedule:
     """Native X(theta) pulse: a single truncated-Gaussian eps_x drive."""
-    times = np.linspace(0.0, _duration(T), n_samples)
+    times = _sample_times(T, n_samples)
     return PulseSchedule(
         times=times,
         channels={"eps_x": eps_x0 * truncated_gaussian(times, T)},
@@ -291,15 +306,18 @@ def _drag_exact(times, eps2_mod, eps2_dot, eps_y, eps_y_dot, params, space):
     the first ceil(n/2) samples are diagonalized and eps_x(T - t) = -eps_x(t).
     Raises AdiabaticityLossError if the smallest squared singular value of the
     pair's overlap with the previous sample's pair (span{C_+, C_-} at t = 0)
-    falls below MIN_SUBSPACE_OVERLAP. The samples are diagonalized in the
-    bounded pieces of :func:`~kerrcat.fock.stack_pieces`, and each piece's
-    pairs are checked and reduced to their split and matrix elements before
-    the next piece, carrying only the last pair, so memory does not grow with
-    the samples.
+    falls below MIN_SUBSPACE_OVERLAP, and InvalidInputError, before any piece,
+    if the bound |values| max|O_j| + max|H_0| on H's entries overflows. The
+    samples are diagonalized in bounded pieces (:func:`~kerrcat.fock.stack_pieces`);
+    each piece's pairs are reduced to their split and matrix elements before the
+    next, carrying only the last pair, so memory does not grow with the samples.
     """
     assembly = HamiltonianAssembly.build(params, space)
     ops = np.stack([assembly.channels[name] for name in ("eps2_mod", "eps_y", "eps_x")])
     table = np.column_stack([eps2_mod, eps_y])
+    if not np.isfinite(np.abs(table) @ np.max(np.abs(ops[:2]), axis=(1, 2))
+                       + np.max(np.abs(assembly.drift))).all():
+        raise InvalidInputError("exact-DRAG Hamiltonian overflows: its spectrum is not finite")
     m = (len(times) + 1) // 2
     d = space.dim
     cats = cat_vectors(params.alpha, space)
@@ -350,7 +368,7 @@ def scheme_y_drag(
         raise InvalidRampError("eps2_ramp0 must be <= 0 (ramp lowers the cat size)")
     if not np.isfinite(eps_y0):
         raise InvalidInputError(f"eps_y0 must be finite, got {eps_y0}")
-    times = np.linspace(0.0, _duration(T), n_samples)
+    times = _sample_times(T, n_samples)
     f = truncated_gaussian(times, T)
     fdot = truncated_gaussian_deriv(times, T)
     eps_y = eps_y0 * f
@@ -399,7 +417,7 @@ def scheme_z_robustline(
     Segment 3 mirrors segment 1. ``robust_line_fn`` maps instantaneous cat
     size to robust detuning (typically a :class:`RobustLineCache`).
     """
-    times = np.linspace(0.0, _duration(T), n_samples)
+    times = _sample_times(T, n_samples)
     if not 0 < tau < T / 2:
         raise SchemeInfeasibleError(f"need 0 < tau < T/2, got tau={tau}, T={T}")
     if eps2_ramp0 > 0:
@@ -452,7 +470,7 @@ def scheme_z_straight(
         raise InvalidRampError("eps2_ramp0 must be <= 0")
     if params.eps2_0 + eps2_ramp0 < -1e-12:
         raise InvalidRampError("ramp drives the cat size negative")
-    times = np.linspace(0.0, _duration(T), n_samples)
+    times = _sample_times(T, n_samples)
     f = truncated_gaussian(times, T)
     return PulseSchedule(
         times=times,
@@ -472,8 +490,7 @@ def scheme_kerr_gate(params: KerrCatParams, n_samples: int = DEFAULT_SAMPLES, *,
     gate is accompanied by the frame rotation R = diag((-i)^n) and implements
     a discrete Z rotation in the rotated cat basis; R acts on ``space``.
     """
-    T = np.pi / params.kerr
-    times = np.linspace(0.0, T, n_samples)
+    times = _sample_times(np.pi / params.kerr, n_samples)
     return PulseSchedule(
         times=times,
         channels={"eps2_mod": np.full_like(times, -params.eps2_0)},
@@ -496,7 +513,7 @@ def kerr_gate_infidelity_estimate(params: KerrCatParams, delta_shift: float) -> 
 def scheme_xx_envelope(T: float, g0: float, n_samples: int = DEFAULT_SAMPLES,
                        constant: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """Beamsplitter coupling envelope g(t): truncated Gaussian or constant."""
-    times = np.linspace(0.0, _duration(T), n_samples)
+    times = _sample_times(T, n_samples)
     values = np.full_like(times, g0) if constant else g0 * truncated_gaussian(times, T)
     return times, values
 
@@ -514,7 +531,7 @@ def gap_traces(
     schedule couples the parity sectors (a single-photon drive), since the
     computational states then have no parity labels.
     """
-    t = np.linspace(0.0, schedule.duration, n_samples)
+    t = _sample_times(schedule.duration, n_samples)
     gap, deriv, _ = _gap_slopes(*schedule.hamiltonian_table(space, t))
     return t, gap, deriv
 

@@ -8,8 +8,8 @@ gives the effective two-qubit Hamiltonian
                    - sin(phase) (h_xA h_yB XY - h_yA h_xB YX)].
 
 Since h_y/h_x = exp(-2 alpha^2), the XX term dominates for large cats and an
-echo sequence removes the YY remainder exactly. The full two-mode propagation
-here validates the projection at reduced truncation.
+echo sequence removes the YY remainder exactly. The full two-mode propagation,
+on the single-mode kernel's step code, validates the projection at reduced truncation.
 """
 
 from __future__ import annotations
@@ -20,10 +20,9 @@ import numpy as np
 
 from .cats import matrix_elements
 from .fidelity import computational_pair
-from .fock import (FockSpace, HamiltonianAssembly, InvalidInputError, KerrCatParams, destroy,
-                   present_channels)
-from .propagation import _apply_step, _step_eigenpairs, _step_grid
-from .pulses import PAULI_X, PAULI_Y
+from .fock import FockSpace, HamiltonianAssembly, KerrCatParams, destroy, present_channels
+from .propagation import _step_eigenpairs, _step_grid, _time_ordered
+from .pulses import PAULI_X, PAULI_Y, _check_grid
 
 _XX = np.kron(PAULI_X, PAULI_X)
 _YY = np.kron(PAULI_Y, PAULI_Y)
@@ -168,25 +167,20 @@ def full_two_mode_propagate(
 ) -> np.ndarray:
     """Midpoint-exponential propagation of the coupled two-mode system.
 
-    Each mode is detuned by its own ``params.delta``; the steps split
-    [0, last envelope time] as in ``propagate_many``. One full-dimension
-    ``eigh`` per step, real when the coupling is real or absent (g = 0
-    throughout); each step is applied to the running product from its
-    eigenpairs, so no step exponential is formed.
+    Each mode is detuned by its own ``params.delta``; the envelope is checked like
+    a schedule's grid and the steps split [0, last time] as in ``propagate_many``.
+    One full-dimension ``eigh`` per step, real when the coupling is real or absent
+    (g = 0 throughout), applied by the kernel's time-ordered product.
     """
     if space.dim > 24:
         raise ValueError("per-mode dim > 24 is beyond the intended scale here")
     times, g = (np.asarray(x, dtype=float) for x in g_envelope)
-    if not (np.all(np.isfinite(times)) and np.all(np.isfinite(g))):
-        raise InvalidInputError("non-finite coupling envelope")
+    _check_grid(times, g, what="coupling envelope")
     mid, dt = _step_grid(times[-1], n_steps)
     H0, coupling = two_mode_hamiltonian_parts(params_A, params_B, space, phase)
     ops, values, real = present_channels(H0, [coupling], np.interp(mid, times, g)[:, None])
-    U = np.eye(H0.shape[0], dtype=complex)
-    work = np.empty_like(U)
-    for row in values:
-        _apply_step(_step_eigenpairs(H0, ops, row, slice(None), real, dt), U, work)
-    return U
+    return _time_ordered((_step_eigenpairs(H0, ops, row, slice(None), real, dt) for row in values),
+                         n_steps, H0.shape)
 
 
 def projected_generator(

@@ -1,12 +1,13 @@
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from kerrcat.fock import (CHANNELS, FockSpace, HamiltonianAssembly,
                           InvalidInputError, InvalidSpaceError, KerrCatParams,
-                          build_hamiltonian, create, destroy, hermiticity_defect,
-                          number_operator, parity_operator)
+                          block_hamiltonians, build_hamiltonian, create, destroy,
+                          hermiticity_defect, number_operator, parity_operator)
 
 
 def test_fock_space_validation():
@@ -140,3 +141,21 @@ def test_cached_operators_are_read_only():
     copy = pickle.loads(pickle.dumps(again))
     assert np.array_equal(copy.drift, again.drift)
     assert np.array_equal(copy.channels["eps_y"], again.channels["eps_y"])
+
+
+def test_real_stack_built_without_complex_copy():
+    # the two-mode check's table: two complex-typed 256 x 256 operators on the
+    # real path; stacking complex copies and then taking .real peaked at 2.5 MiB
+    rng = np.random.default_rng(0)
+    a = rng.normal(size=(256, 256))
+    drift, op = (a + a.T).astype(complex), np.diag(rng.normal(size=256)).astype(complex)
+    values = np.array([0.3])
+    tracemalloc.start()
+    try:
+        H = block_hamiltonians(drift, [op], values, slice(None), True)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert H.dtype == float
+    assert np.array_equal(H, block_hamiltonians(drift, [op], values, slice(None), False).real)
+    assert peak < 2 * 2**20, f"peak {peak / 2**20:.2f} MiB"

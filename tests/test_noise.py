@@ -268,6 +268,19 @@ def test_monte_carlo_input_faults_are_typed(bad, name):
 
 @pytest.mark.parametrize("kind, parameters", [("static", {"value": 1e-3}),
                                               ("ornstein-uhlenbeck", {"sigma": 1.0, "tau_c": 2.0})])
+@pytest.mark.parametrize("T, n_traces, name", [
+    (-1.0, 2, "duration"), (float("nan"), 2, "duration"), (float("inf"), 2, "duration"),
+    (0.0, 2, "duration"), (1.0, -1, "n_traces"), (1.0, 0, "n_traces"),
+    (1.0, True, "n_traces"), (1.0, 2.0, "n_traces")])
+def test_sample_noise_rejects_bad_duration_and_trace_count(kind, parameters, T, n_traces, name):
+    # numpy raised "negative dimensions", a NaN-to-integer error or OverflowError
+    # for such a T, and a ValueError or an empty (0, n) array for such a count
+    with pytest.raises(InvalidInputError, match=name):
+        sample_noise(NoiseModel(kind, parameters), T=T, dt=0.1, n_traces=n_traces)
+
+
+@pytest.mark.parametrize("kind, parameters", [("static", {"value": 1e-3}),
+                                              ("ornstein-uhlenbeck", {"sigma": 1.0, "tau_c": 2.0})])
 @pytest.mark.parametrize("dt", [0.0, -0.1, float("nan"), float("inf")])
 def test_sample_noise_needs_a_positive_step(kind, parameters, dt):
     with warnings.catch_warnings():

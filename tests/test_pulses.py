@@ -61,13 +61,49 @@ def test_degenerate_time_grids_raise():
     z = scheme_z_straight(30.0, 0.5, -1.0, p, n_samples=21)
     repeated = z.times.copy()
     repeated[5] = repeated[4]
-    for sched in (scheme_z_straight(30.0, 0.5, -1.0, p, n_samples=1),
-                  dataclasses.replace(z, times=z.times + 1.0),
-                  dataclasses.replace(z, times=repeated)):
-        for read in (lambda: propagate(sched, space, n_steps=10),
-                     lambda: gap_traces(sched, space)):
-            with pytest.raises(InvalidInputError, match="start at 0 and strictly increase"):
-                read()
+    # the builders refuse one sample (test_sample_counts_below_two_raise), so cut z to one
+    one = dataclasses.replace(z, times=z.times[:1],
+                              channels={k: v[:1] for k, v in z.channels.items()})
+    unordered = (dataclasses.replace(z, times=z.times + 1.0), dataclasses.replace(z, times=repeated))
+    for sched in (one, *unordered):
+        with pytest.raises(InvalidInputError, match="start at 0 and strictly increase"):
+            propagate(sched, space, n_steps=10)
+    for sched in unordered:
+        with pytest.raises(InvalidInputError, match="start at 0 and strictly increase"):
+            gap_traces(sched, space)
+    # one sample spans a duration of 0, which gap_traces cannot sample
+    with pytest.raises(InvalidInputError, match="duration"):
+        gap_traces(one, space)
+
+
+@pytest.mark.parametrize("n", [1, 0, -3, True, 2.0, 101.0])
+def test_sample_counts_below_two_raise(n):
+    # one sample read as a perfectly robust gate (first-order coefficient 0.0,
+    # predicted angle -0.0) or failed in numpy, and no sample built a schedule
+    p = KerrCatParams.from_alpha2(2.0)
+    space = FockSpace(20)
+    z = scheme_z_straight(20.0, 0.3, -0.5, p, n_samples=101)
+    for read in (lambda: first_order_coefficient(z, space, n_samples=n),
+                 lambda: predicted_angle(z, 1e-3, space, n_samples=n),
+                 lambda: gap_traces(z, space, n_samples=n),
+                 lambda: adiabaticity_diagnostic(z, space, n_samples=n),
+                 lambda: idle_schedule(20.0, p, n_samples=n),
+                 lambda: scheme_x(20.0, 0.1, p, n_samples=n),
+                 lambda: scheme_y_drag(20.0, 0.1, -0.5, p, space, n_samples=n),
+                 lambda: scheme_z_robustline(20.0, 1.0, -0.5, p, lambda a2: 0.3 * np.ones_like(a2),
+                                             n_samples=n),
+                 lambda: scheme_z_straight(20.0, 0.3, -0.5, p, n_samples=n),
+                 lambda: scheme_kerr_gate(p, n_samples=n, space=space),
+                 lambda: scheme_xx_envelope(20.0, 1e-3, n_samples=n)):
+        with pytest.raises(InvalidInputError, match="n_samples"):
+            read()
+
+
+def test_unknown_channel_name_raises():
+    # a misspelt channel built and then failed in propagate with KeyError
+    x = scheme_x(20.0, 0.1, KerrCatParams.from_alpha2(2.0), n_samples=11)
+    with pytest.raises(InvalidInputError, match="epsx"):
+        PulseSchedule(x.times, {"epsx": x.channels["eps_x"]}, x.target, "X", x.base)
 
 
 def test_envelope_endpoints_and_peak():
@@ -203,12 +239,15 @@ def test_scheme_y_non_finite_amplitude_raises(mode, eps_y0):
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
                             "ignore:invalid value:RuntimeWarning")
 def test_exact_drag_overflowing_amplitude_raises():
-    # a finite amplitude whose Hamiltonian overflows in the first piece gave
-    # numpy's LinAlgError; at 2001 samples the first piece stays finite and the
-    # subspace check fires first
+    # a finite amplitude whose Hamiltonian overflows gave numpy's LinAlgError at
+    # 101 samples; at the default 2001 the first piece stayed finite and the
+    # subspace check raised AdiabaticityLossError, which grid_optimize scores
+    # as infeasible: the table is now checked whole, whatever the piece size
     p = KerrCatParams.from_alpha2(2.0)
-    with pytest.raises(InvalidInputError, match="overflows"):
-        scheme_y_drag(20.0, 1e308, -0.5, p, FockSpace(20), drag_mode="exact", n_samples=101)
+    for n_samples in (101, 2001):
+        with pytest.raises(InvalidInputError, match="overflows"):
+            scheme_y_drag(20.0, 1e308, -0.5, p, FockSpace(20), drag_mode="exact",
+                          n_samples=n_samples)
 
 
 def test_approx_drag_vanishes_at_endpoints():

@@ -203,6 +203,12 @@ def test_full_two_mode_rejects_bad_input():
         full_two_mode_propagate(pa, pa, space, (times, bad), n_steps=5)
     with pytest.raises(InvalidInputError, match="non-finite"):
         replace(pa, delta=np.nan)
+    # a decreasing grid propagated backwards (U^dag), one sample gave about 1,
+    # unsorted times ran, and mismatched lengths failed in numpy's interp
+    for env in ((np.linspace(0, -10, 5), np.full(5, 1e-3)), (np.zeros(1), np.full(1, 1e-3)),
+                (np.array([0.0, 0.6, 0.3, 1.0]), np.full(4, 1e-3)), (times, np.full(10, 1e-3))):
+        with pytest.raises(InvalidInputError):
+            full_two_mode_propagate(pa, pa, space, env, n_steps=5)
 
 
 def test_dim_guard():
