@@ -30,9 +30,7 @@ class CatBasis:
 def coherent_vector(alpha: float, space: FockSpace) -> np.ndarray:
     """Fock expansion of |alpha>, exp(-a^2/2) alpha^n / sqrt(n!), for real alpha of either sign."""
     if alpha == 0:
-        vec = np.zeros(space.dim, dtype=complex)
-        vec[0] = 1.0
-        return vec
+        return np.eye(1, space.dim, dtype=complex)[0]  # the vacuum |0>
     n = np.arange(space.dim)
     log_factorial = np.array([lgamma(k + 1) for k in range(space.dim)])
     log_coeff = -0.5 * alpha**2 + n * np.log(abs(alpha)) - 0.5 * log_factorial
@@ -52,10 +50,7 @@ def cat_vectors(alpha: float, space: FockSpace) -> CatBasis:
             f"dim={space.dim} too small for alpha^2={alpha**2:.3g}"
         )
     if alpha == 0:
-        plus = np.zeros(space.dim, dtype=complex)
-        minus = np.zeros(space.dim, dtype=complex)
-        plus[0] = 1.0
-        minus[1] = 1.0
+        plus, minus = np.eye(2, space.dim, dtype=complex)  # |0> and |1>
         return CatBasis(plus_cat=plus, minus_cat=minus)
     norm_plus = sqrt(2.0 * (1.0 + exp(-2.0 * alpha**2)))
     norm_minus = sqrt(2.0 * (1.0 - exp(-2.0 * alpha**2)))

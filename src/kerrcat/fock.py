@@ -7,7 +7,8 @@ The Hamiltonian is kept in drift + channels form,
 
     H(t) = H_drift + sum_c  v_c(t) * O_c,
 
-so time propagation only recombines cached matrices with scalars.
+so time propagation only recombines cached matrices with scalars. A table's
+overflow is decided once, whole, by :func:`check_overflow`, before any H of it is built.
 """
 
 from __future__ import annotations
@@ -124,12 +125,22 @@ def stack_pieces(n: int, item_shape, dtype, share: int = 1) -> list[slice]:
     return [slice(start, min(start + piece, n)) for start in range(0, n, piece)]
 
 
+def check_overflow(drift, ops, values) -> None:
+    """Refuse a table whose bound max|drift| + sum_j |v_j| max|O_j| on H's entries is not finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        bound = np.abs(values) @ [np.abs(op).max() for op in ops] + np.abs(drift).max()
+    if not np.isfinite(bound).all():
+        raise InvalidInputError("Hamiltonian overflows: the bound on its entries is not finite")
+
+
 def present_channels(drift, ops, values):
     """The operators that enter with some non-zero value, their value columns, and ``real``.
 
     ``values[..., j]`` holds the scalars that multiply ``ops[j]``; ``real`` is
     set when the drift and every present operator are real (see :func:`block_eigh`).
+    The whole table passes :func:`check_overflow` first.
     """
+    check_overflow(drift, ops, values)
     present = np.any(values, axis=tuple(range(values.ndim - 1)))
     ops = [op for op, p in zip(ops, present) if p]
     return ops, values[..., present], all(is_real(op) for op in (drift, *ops))
@@ -155,14 +166,12 @@ def block_hamiltonians(drift, ops, values, block, real) -> np.ndarray:
 def block_eigh(drift, ops, values, block, real) -> tuple[np.ndarray, np.ndarray]:
     """Ascending eigenpairs (w, V) of the :func:`block_hamiltonians` stack, V real if ``real``.
 
-    The library's one eigensolver call; an H that overflows raises :class:`InvalidInputError`.
+    The library's one eigensolver call; a spectrum that is not finite raises InvalidInputError.
     """
-    H = block_hamiltonians(drift, ops, values, block, real)
-    if np.isfinite(H).all():
-        w, V = np.linalg.eigh(H)
-        if np.isfinite(w).all():
-            return w, V
-    raise InvalidInputError("Hamiltonian overflows: its spectrum is not finite")
+    w, V = np.linalg.eigh(block_hamiltonians(drift, ops, values, block, real))
+    if not np.isfinite(w).all():
+        raise InvalidInputError("Hamiltonian overflows: its spectrum is not finite")
+    return w, V
 
 
 @lru_cache(maxsize=None)

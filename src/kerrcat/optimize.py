@@ -103,7 +103,6 @@ def grid_search(
     lo, hi = lo0.copy(), hi0.copy()
     best = None
     history: list[dict] = []
-    n_eval = 0
 
     for round_idx in range(refine_rounds + 1):
         axes = [np.linspace(lo[i], hi[i], coarse_n) for i in range(len(space.names))]
@@ -114,7 +113,6 @@ def grid_search(
             score = evaluate(**kwargs)
             if not np.isfinite(score):
                 raise InvalidInputError(f"non-finite score {score} at {kwargs}")
-            n_eval += 1
             history.append({"round": round_idx, **kwargs, "score": score})
             if best is None or score < best[1]:
                 best = (kwargs, score)
@@ -126,7 +124,7 @@ def grid_search(
     return OptimizationRecord(
         best_params=best[0],
         best_score=best[1],
-        n_evaluations=n_eval,
+        n_evaluations=len(history),
         history=history,
     )
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from .cats import cat_vectors, matrix_elements
 from .fock import (CHANNELS, FockSpace, HamiltonianAssembly, InvalidInputError, KerrCatParams,
-                   block_eigh, stack_pieces)
+                   block_eigh, check_overflow, stack_pieces)
 from .spectral import NoRobustPointError, _gap_slopes, _spectra_pieces
 
 DEFAULT_SAMPLES = 2001
@@ -56,7 +56,7 @@ def _envelope_times(t, T: float) -> np.ndarray:
 
 def truncated_gaussian(t, T: float):
     """Truncated Gaussian envelope with sigma = T and exponent 2 on [0, T]."""
-    u = _envelope_times(t, T) / T - 0.5
+    u = _envelope_times(t, _duration(T)) / T - 0.5
     g = (np.exp(-0.5 * u**2) - _EDGE) / (1.0 - _EDGE)
     out = g**2
     return float(out) if out.ndim == 0 else out
@@ -64,7 +64,7 @@ def truncated_gaussian(t, T: float):
 
 def truncated_gaussian_deriv(t, T: float):
     """Analytic time derivative of :func:`truncated_gaussian`, on the same support."""
-    u = _envelope_times(t, T) / T - 0.5
+    u = _envelope_times(t, _duration(T)) / T - 0.5
     g = (np.exp(-0.5 * u**2) - _EDGE) / (1.0 - _EDGE)
     gdot = -u / T * np.exp(-0.5 * u**2) / (1.0 - _EDGE)
     out = 2.0 * g * gdot
@@ -307,7 +307,7 @@ def _drag_exact(times, eps2_mod, eps2_dot, eps_y, eps_y_dot, params, space):
     Raises AdiabaticityLossError if the smallest squared singular value of the
     pair's overlap with the previous sample's pair (span{C_+, C_-} at t = 0)
     falls below MIN_SUBSPACE_OVERLAP, and InvalidInputError, before any piece,
-    if the bound |values| max|O_j| + max|H_0| on H's entries overflows. The
+    if the table overflows (:func:`~kerrcat.fock.check_overflow`). The
     samples are diagonalized in bounded pieces (:func:`~kerrcat.fock.stack_pieces`);
     each piece's pairs are reduced to their split and matrix elements before the
     next, carrying only the last pair, so memory does not grow with the samples.
@@ -315,16 +315,13 @@ def _drag_exact(times, eps2_mod, eps2_dot, eps_y, eps_y_dot, params, space):
     assembly = HamiltonianAssembly.build(params, space)
     ops = np.stack([assembly.channels[name] for name in ("eps2_mod", "eps_y", "eps_x")])
     table = np.column_stack([eps2_mod, eps_y])
-    if not np.isfinite(np.abs(table) @ np.max(np.abs(ops[:2]), axis=(1, 2))
-                       + np.max(np.abs(assembly.drift))).all():
-        raise InvalidInputError("exact-DRAG Hamiltonian overflows: its spectrum is not finite")
+    check_overflow(assembly.drift, ops[:2], table)
     m = (len(times) + 1) // 2
-    d = space.dim
     cats = cat_vectors(params.alpha, space)
     last = np.column_stack([cats.plus_cat, cats.minus_cat])[None]
     split = np.empty(m)
     m2, my, mx = np.empty((3, m), dtype=complex)
-    for piece in stack_pieces(m, (d, d), complex):
+    for piece in stack_pieces(m, (space.dim, space.dim), complex):
         energies, states = block_eigh(assembly.drift, [*ops[:2]], table[piece], slice(None), False)
         # contiguous like the one-piece stack, so every product rounds the same
         spans = np.concatenate([last, states[..., -2:]])

@@ -344,9 +344,10 @@ class RobustLineCache:
 
     def __call__(self, alpha2) -> np.ndarray | float:
         a2 = np.asarray(alpha2, dtype=float)
+        if not np.all(np.isfinite(a2)):  # not a point without a robust line: a bad input
+            raise InvalidInputError(f"non-finite alpha2 {alpha2!r}")
         if np.any(a2 < self.alpha2_min - 1e-12) or np.any(a2 > self.alpha2_max + 1e-12):
-            raise NoRobustPointError(
-                f"alpha2 outside cached robust-line range [{self.alpha2_min}, {self.alpha2_max}]"
-            )
+            raise NoRobustPointError(f"alpha2 outside cached robust-line range "
+                                     f"[{self.alpha2_min}, {self.alpha2_max}]")
         out = self._interp(np.clip(a2, self.alpha2_min, self.alpha2_max))
         return float(out) if np.isscalar(alpha2) else out

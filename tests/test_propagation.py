@@ -21,9 +21,11 @@ from kerrcat.propagation import (_apply_step, _propagate_steps, _step_eigenpairs
                                  adiabaticity_diagnostic, propagate, propagate_many,
                                  propagate_noise_trace)
 from kerrcat.pulses import (PulseSchedule, _drag_exact, gap_traces, idle_schedule, rot_z,
-                            scheme_kerr_gate, scheme_x, scheme_y_drag, scheme_z_straight,
-                            seed_eps_x0, truncated_gaussian, truncated_gaussian_deriv)
-from kerrcat.spectral import _gap_slopes, diagonalize_labeled
+                            scheme_kerr_gate, scheme_x, scheme_xx_envelope, scheme_y_drag,
+                            scheme_z_straight, seed_eps_x0, truncated_gaussian,
+                            truncated_gaussian_deriv)
+from kerrcat.spectral import _gap_slopes, diagonalize_labeled, gap_derivative, spectrum_at
+from kerrcat.twoqubit import full_two_mode_propagate
 
 SPACE = FockSpace(30)
 
@@ -563,8 +565,7 @@ def test_stacked_spectra_peak_memory_bounded():
         assert peak <= 2 * 2**20, f"{name}: peak {peak / 2**20:.1f} MiB"
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
-                            "ignore:invalid value:RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("dim", [8, 20])  # full dimension, and the kept basis above 16 levels
 @pytest.mark.parametrize("offsets", [[1e308], [[1e308] * 10], [0.0, -1e308]],
                          ids=["static", "per-step", "second-row"])
@@ -574,6 +575,45 @@ def test_overflowing_offset_raises(dim, offsets):
     z = scheme_z_straight(30.0, 0.5, -1.0, KerrCatParams.from_alpha2(2.0), n_samples=101)
     with pytest.raises(InvalidInputError, match="overflows"):
         propagate_many(z, FockSpace(dim), offsets, n_steps=10)
+
+
+def _overflowing_calls():
+    """Every path by which a table reaches eigenpairs, each fed a finite value whose H overflows."""
+    p = KerrCatParams.from_alpha2(2.0)
+    z = scheme_z_straight(30.0, 0.5, -1.0, p, n_samples=101)
+    huge_z = replace(z, channels={**z.channels, "delta": 1e308 * z.channels["delta"]})
+    return {
+        "kernel": lambda: propagate_many(z, FockSpace(8), [1e308], 10),
+        "kept-basis": lambda: propagate_many(z, FockSpace(20), [1e308], 10),
+        "second-row": lambda: propagate_many(z, FockSpace(20), [0.0, -1e308], 10),
+        "spectrum_at": lambda: spectrum_at(p, 1e308, FockSpace(10)),
+        "gap_derivative": lambda: gap_derivative(p, 1e308, FockSpace(10)),
+        "gap_traces": lambda: gap_traces(huge_z, FockSpace(10)),
+        "adiabaticity": lambda: adiabaticity_diagnostic(huge_z, FockSpace(10)),
+        "exact-drag": lambda: scheme_y_drag(20.0, 1e308, -0.5, p, FockSpace(20),
+                                            drag_mode="exact"),
+        "approx-drag": lambda: propagate(scheme_y_drag(20.0, 1e308, -0.5, p, FockSpace(20),
+                                                       drag_mode="approx"), FockSpace(20),
+                                         n_steps=10),
+        "x": lambda: propagate(scheme_x(20.0, 1e308, p), FockSpace(20), n_steps=10),
+        "two-mode": lambda: full_two_mode_propagate(p, p, FockSpace(6),
+                                                    scheme_xx_envelope(10.0, 1e308, 101),
+                                                    n_steps=10),
+    }
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("path", list(_overflowing_calls()))
+def test_overflowing_table_refused_before_numpy_warns(path):
+    # one bound per table, taken before its first piece: each path raises the
+    # same typed error, with no RuntimeWarning first, whatever the piece size
+    messages = set()
+    for budget in (fock.STACK_ENTRIES, 1):
+        with mock.patch.object(fock, "STACK_ENTRIES", budget):
+            with pytest.raises(InvalidInputError, match="overflows") as raised:
+                _overflowing_calls()[path]()
+        messages.add(str(raised.value))
+    assert len(messages) == 1, messages
 
 
 @pytest.mark.parametrize("kind, size, in_worker, workers", [

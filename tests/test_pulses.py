@@ -22,8 +22,7 @@ from kerrcat.spectral import ParityLabelError, RobustLineCache, energy_gap, gap_
 SPACE = FockSpace(30)
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
-                            "ignore:invalid value:RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_non_finite_schedule_samples_raise():
     space = FockSpace(8)
     p = KerrCatParams.from_alpha2(2.0)
@@ -158,6 +157,16 @@ def test_bad_duration_raises(T):
             build()
 
 
+@pytest.mark.parametrize("T", [np.nan, np.inf, 0.0, -1.0])
+def test_envelope_bad_duration_raises(T):
+    # a NaN duration gave a NaN envelope and an infinite one 0.0 everywhere;
+    # the ramps inherit the check through their duration 2 tau
+    for envelope in (lambda: truncated_gaussian(0.0, T), lambda: truncated_gaussian_deriv(0.0, T),
+                     lambda: ramp_up(0.0, T / 2), lambda: ramp_down(0.0, T / 2)):
+        with pytest.raises(InvalidInputError, match="duration"):
+            envelope()
+
+
 def test_envelope_domain_guard():
     with pytest.raises(ValueError):
         truncated_gaussian(-0.1, 10.0)
@@ -236,8 +245,7 @@ def test_scheme_y_non_finite_amplitude_raises(mode, eps_y0):
         scheme_y_drag(20.0, eps_y0, -0.5, p, FockSpace(20), drag_mode=mode, n_samples=21)
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
-                            "ignore:invalid value:RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_exact_drag_overflowing_amplitude_raises():
     # a finite amplitude whose Hamiltonian overflows gave numpy's LinAlgError at
     # 101 samples; at the default 2001 the first piece stayed finite and the

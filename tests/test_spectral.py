@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from kerrcat.fock import (FockSpace, InvalidInputError, KerrCatParams, build_hamiltonian,
                           destroy, number_operator, parity_operator)
 from kerrcat.propagation import adiabaticity_diagnostic
-from kerrcat.pulses import scheme_x
+from kerrcat.pulses import scheme_x, scheme_z_robustline
 from kerrcat.spectral import (IllConditionedError, NoRobustPointError,
                               ParityLabelError, RobustLineCache, _parity_spectra,
                               diagonalize_labeled, energy_gap, gap_derivative,
@@ -50,7 +50,7 @@ def test_spectrum_at_equals_labeled_explicit_hamiltonian(delta):
         assert np.allclose(states, single[1], rtol=0, atol=1e-9)
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("delta", [np.nan, np.inf, -np.inf, 1e308])
 def test_spectrum_at_shift_guard(delta):
     # the shift is the one value from outside the library; 1e308 is finite but
@@ -265,6 +265,18 @@ def test_robust_cache_matches_direct_roots():
     for a2 in rng.uniform(1.0, 3.0, size=5):
         direct = robust_line(float(a2), FockSpace(30))
         assert abs(float(cache(float(a2))) - direct) < 1e-6
+
+
+def test_robust_cache_rejects_non_finite_alpha2():
+    # a NaN cat size gave a NaN detuning; as NoRobustPointError the robust-line
+    # scheme would have scored it an infeasible point instead of a bad input
+    cache = RobustLineCache(1.0, 2.0, FockSpace(30), n_points=8)
+    for a2 in (np.nan, np.inf, -np.inf, [1.5, np.nan]):
+        with pytest.raises(InvalidInputError, match="non-finite alpha2"):
+            cache(a2)
+    p = KerrCatParams.from_alpha2(2.0)
+    with pytest.raises(InvalidInputError, match="non-finite alpha2"):
+        scheme_z_robustline(30.0, 5.0, np.nan, p, cache)
 
 
 def test_robust_cache_range_guard():
