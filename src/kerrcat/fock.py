@@ -7,14 +7,16 @@ The Hamiltonian is kept in drift + channels form,
 
     H(t) = H_drift + sum_c  v_c(t) * O_c,
 
-so time propagation only recombines cached matrices with scalars. A table's
-overflow is decided once, whole, by :func:`check_overflow`, before any H of it is built.
+so time propagation only recombines cached matrices with scalars. All but the
+Y drive ``eps_y`` are float64, so dtypes choose the real eigensolver path, and
+:func:`present_channels` decides a table's overflow once, before any H of it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from numbers import Integral
 from typing import Mapping
 
 import numpy as np
@@ -38,8 +40,8 @@ class FockSpace:
     dim: int
 
     def __post_init__(self):
-        if self.dim < 2:
-            raise InvalidSpaceError(f"Fock dimension must be >= 2, got {self.dim}")
+        if isinstance(self.dim, bool) or not isinstance(self.dim, Integral) or self.dim < 2:
+            raise InvalidSpaceError(f"Fock dimension must be an integer >= 2, got {self.dim!r}")
 
 
 @dataclass(frozen=True)
@@ -75,29 +77,25 @@ class KerrCatParams:
 
 def destroy(space: FockSpace) -> np.ndarray:
     """Annihilation operator a with a|n> = sqrt(n)|n-1>."""
-    return np.diag(np.sqrt(np.arange(1, space.dim)), 1).astype(complex)
+    return np.diag(np.sqrt(np.arange(1, space.dim)), 1)
 
 
 def create(space: FockSpace) -> np.ndarray:
-    return destroy(space).conj().T
+    return destroy(space).T
 
 
 def number_operator(space: FockSpace) -> np.ndarray:
-    return np.diag(np.arange(space.dim)).astype(complex)
+    return np.diag(np.arange(space.dim, dtype=float))
 
 
 def parity_operator(space: FockSpace) -> np.ndarray:
     """Photon-number parity Pi = diag((-1)^n)."""
-    return np.diag((-1.0) ** np.arange(space.dim)).astype(complex)
+    return np.diag((-1.0) ** np.arange(space.dim))
 
 
 def parity_blocks(dim: int) -> tuple[slice, slice]:
     """Slices of the even- and odd-parity Fock sectors."""
     return slice(0, dim, 2), slice(1, dim, 2)
-
-
-def is_real(op: np.ndarray) -> bool:
-    return not np.any(np.imag(op))
 
 
 def keeps_parity(op: np.ndarray) -> bool:
@@ -125,35 +123,29 @@ def stack_pieces(n: int, item_shape, dtype, share: int = 1) -> list[slice]:
     return [slice(start, min(start + piece, n)) for start in range(0, n, piece)]
 
 
-def check_overflow(drift, ops, values) -> None:
-    """Refuse a table whose bound max|drift| + sum_j |v_j| max|O_j| on H's entries is not finite."""
+def present_channels(drift, ops, values):
+    """The operators that enter with some non-zero value, and their value columns.
+
+    ``values[..., j]`` holds the scalars that multiply ``ops[j]``. The table is
+    refused first, whole, with InvalidInputError when the bound
+    max|drift| + sum_j |v_j| max|O_j| on the entries of its H is not finite.
+    """
     with np.errstate(over="ignore", invalid="ignore"):
         bound = np.abs(values) @ [np.abs(op).max() for op in ops] + np.abs(drift).max()
     if not np.isfinite(bound).all():
         raise InvalidInputError("Hamiltonian overflows: the bound on its entries is not finite")
-
-
-def present_channels(drift, ops, values):
-    """The operators that enter with some non-zero value, their value columns, and ``real``.
-
-    ``values[..., j]`` holds the scalars that multiply ``ops[j]``; ``real`` is
-    set when the drift and every present operator are real (see :func:`block_eigh`).
-    The whole table passes :func:`check_overflow` first.
-    """
-    check_overflow(drift, ops, values)
     present = np.any(values, axis=tuple(range(values.ndim - 1)))
-    ops = [op for op, p in zip(ops, present) if p]
-    return ops, values[..., present], all(is_real(op) for op in (drift, *ops))
+    return [op for op, p in zip(ops, present) if p], values[..., present]
 
 
-def block_hamiltonians(drift, ops, values, block, real) -> np.ndarray:
+def block_hamiltonians(drift, ops, values, block) -> np.ndarray:
     """drift + sum_j values[..., j] ops[j] on the ``block`` x ``block`` slice, stacked.
 
-    The stack runs over the leading axes of ``values``; with ``real`` set it is
-    float64, each block's imaginary part dropped before it is copied. Without
-    operators the drift block is broadcast over the stack (a read-only view).
+    The stack runs over the leading axes of ``values`` and is float64 when the
+    drift and every operator are. Without operators the drift block is
+    broadcast over the stack (a read-only view).
     """
-    mats = np.array([m[block, block].real if real else m[block, block] for m in (drift, *ops)])
+    mats = np.array([m[block, block] for m in (drift, *ops)])
     b = mats.shape[-1]
     if not ops:
         return np.broadcast_to(mats[0], (*values.shape[:-1], b, b))
@@ -163,12 +155,12 @@ def block_hamiltonians(drift, ops, values, block, real) -> np.ndarray:
     return H.reshape(*values.shape[:-1], b, b)
 
 
-def block_eigh(drift, ops, values, block, real) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending eigenpairs (w, V) of the :func:`block_hamiltonians` stack, V real if ``real``.
+def block_eigh(drift, ops, values, block) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending eigenpairs (w, V) of the :func:`block_hamiltonians` stack, V real if it is.
 
     The library's one eigensolver call; a spectrum that is not finite raises InvalidInputError.
     """
-    w, V = np.linalg.eigh(block_hamiltonians(drift, ops, values, block, real))
+    w, V = np.linalg.eigh(block_hamiltonians(drift, ops, values, block))
     if not np.isfinite(w).all():
         raise InvalidInputError("Hamiltonian overflows: its spectrum is not finite")
     return w, V
@@ -182,7 +174,7 @@ def _ladder_algebra(dim: int):
     read-only; each assembly gets its own copy of the channel dict.
     """
     a = destroy(FockSpace(dim))
-    ad = a.conj().T
+    ad = a.T
     n = ad @ a
     kerr_term = ad @ ad @ a @ a
     two_photon = 0.5 * (a @ a + ad @ ad)

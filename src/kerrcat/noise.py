@@ -201,8 +201,8 @@ class FilterFunction:
     W: np.ndarray
 
     def __post_init__(self):
-        if np.any(self.W < -1e-15):
-            raise ValueError("filter weight must be non-negative")
+        if not np.all(np.isfinite(self.W) & (self.W >= -1e-15)):
+            raise InvalidInputError("filter weight must be finite and non-negative")
 
     def at_zero(self) -> float:
         """W(0); the grid must contain omega = 0 exactly."""
@@ -256,8 +256,8 @@ def filter_weight(t: np.ndarray, deriv: np.ndarray, omegas: np.ndarray) -> Filte
 
 
 def default_frequency_grid(T: float, n_points: int = 513) -> np.ndarray:
-    """omega = 0 plus log-spaced points over [1e-3/T, 1e3/T]."""
-    grid = np.logspace(np.log10(1e-3 / T), np.log10(1e3 / T), n_points - 1)
+    """omega = 0 plus log-spaced points over [1e-3/T, 1e3/T], for a finite positive duration T."""
+    grid = np.logspace(np.log10(1e-3 / _duration(T)), np.log10(1e3 / T), n_points - 1)
     return np.concatenate(([0.0], grid))
 
 

@@ -9,17 +9,17 @@ detuning row and calls the batched eigh, which is where nearly all the
 runtime goes; the stacks are taken in time-ordered pieces under the
 library's one bound ``STACK_ENTRIES`` (see :func:`~kerrcat.fock.stack_pieces`),
 so memory does not grow with rows x steps and the result does not depend
-on the piece size. It picks the cheapest exact path from the operators
-that enter H with non-zero values:
+on the piece size. It picks the cheapest exact path from the dtypes and
+structure of the operators that enter H with non-zero values:
 
-* parity blocks -- every operator is real and has no even<->odd Fock
+* parity blocks -- every operator is a float64 array with no even<->odd Fock
   entries (drift, ``delta``, ``eps2_mod``): two real-symmetric eigh stacks
   of half the dimension, with the time-ordered products kept per block.
   The two blocks share no data, so the caller runs the even one while one
   worker thread, created and joined inside the call, runs the odd one;
   their pieces share the stack bound;
-* real -- every operator is real (no ``eps_y``): one real-symmetric stack;
-* general -- complex Hermitian eigh.
+* real -- every operator is float64 (no ``eps_y``): one real-symmetric stack;
+* general -- a complex operator: complex Hermitian eigh.
 
 On any path, a schedule whose steps mirror in time, H_{n-1-k} = S H_k^* S
 with S the identity or photon-number parity, diagonalizes only its first
@@ -38,8 +38,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import (FockSpace, InvalidInputError, block_eigh, is_real, keeps_parity,
-                   parity_blocks, present_channels, stack_pieces)
+from .fock import (FockSpace, InvalidInputError, block_eigh, keeps_parity, parity_blocks,
+                   present_channels, stack_pieces)
 from .pulses import PulseSchedule, _count, _sample_times
 from .spectral import _parity_spectra, _spectra_pieces
 
@@ -69,14 +69,17 @@ class PropagationResult:
         return float(1.0 - s.min() ** 2)
 
 
-def _step_eigenpairs(drift, ops, values, block, real, dt) -> tuple[np.ndarray, np.ndarray]:
+def _step_eigenpairs(drift, ops, values, block, dt) -> tuple[np.ndarray, np.ndarray]:
     """(phases, V) with exp(-i H dt) = V diag(phases) V^H for each H of a table.
 
     H runs over the stack of (drift, ops, values) on ``block`` (see
     :func:`~kerrcat.fock.block_eigh`); the phases e^{-i w dt} have shape
-    (..., b) and V has shape (..., b, b), real with ``real`` set.
+    (..., b) and V has shape (..., b, b), real when every operator is. A phase
+    rounded by more than a radian, max|w| dt eps > 1, raises InvalidInputError.
     """
-    w, V = block_eigh(drift, ops, values, block, real)
+    w, V = block_eigh(drift, ops, values, block)
+    if np.abs(w).max() * dt * np.finfo(float).eps > 1:
+        raise InvalidInputError("step phase |w| dt is beyond the float grid's resolution")
     return np.exp(-1j * (w * dt)), V
 
 
@@ -158,7 +161,7 @@ EDGE_STATES = 4
 #: largest final population of the computational columns on the kept basis's edge
 EDGE_TOL = 1e-10
 
-def _block_steps(drift, ops, values, block, real, dt, share):
+def _block_steps(drift, ops, values, block, dt, share):
     """The ``block``'s step eigenpairs (phases, V) in time order (see :func:`_step_eigenpairs`).
 
     Each step's phases have shape (rows, b) and its V shape (rows, b, b).
@@ -170,8 +173,8 @@ def _block_steps(drift, ops, values, block, real, dt, share):
     """
     rows, n_steps, _ = values.shape
     b = len(range(drift.shape[0])[block])
-    for piece in stack_pieces(n_steps, (rows, b, b), float if real else complex, share):
-        phases, V = _step_eigenpairs(drift, ops, values[:, piece], block, real, dt)
+    for piece in stack_pieces(n_steps, (rows, b, b), np.result_type(drift, *ops), share):
+        phases, V = _step_eigenpairs(drift, ops, values[:, piece], block, dt)
         for k in range(V.shape[1]):
             yield phases[:, k], V[:, k]
         del phases, V  # free this piece before the next one is diagonalized
@@ -187,9 +190,9 @@ def _propagate_steps(drift, ops, values, dt) -> np.ndarray:
     worker thread, joined before the call returns, the odd parity block.
     """
     batch, n_steps, _ = values.shape
-    ops, values, real = present_channels(drift, ops, values)
+    ops, values = present_channels(drift, ops, values)
     d = drift.shape[0]
-    parity = real and all(keeps_parity(op) for op in (drift, *ops))
+    parity = all(np.isrealobj(op) and keeps_parity(op) for op in (drift, *ops))
     blocks = parity_blocks(d) if parity else (slice(0, d),)
     s = _mirror_signs(drift, ops, values)
     if s is not None:
@@ -197,7 +200,7 @@ def _propagate_steps(drift, ops, values, dt) -> np.ndarray:
     U = np.zeros((batch, d, d), dtype=complex)
 
     def block_product(block):
-        steps = _block_steps(drift, ops, values, block, real, dt, len(blocks))
+        steps = _block_steps(drift, ops, values, block, dt, len(blocks))
         U[:, block, block] = _time_ordered(steps, n_steps, U[:, block, block].shape,
                                            None if s is None else s[block])
 
@@ -220,7 +223,7 @@ def _kept_propagate(drift, ops, values, dt) -> np.ndarray:
     edge population over the rows.
     """
     d = drift.shape[0]
-    if d <= KEPT_STATES or not (is_real(drift) and keeps_parity(drift)):
+    if d <= KEPT_STATES or not (np.isrealobj(drift) and keeps_parity(drift)):
         return _propagate_steps(drift, ops, values, dt)
     energies, states = _parity_spectra(drift, [], np.empty(0))
     E, V = energies[:KEPT_STATES], states[:, :KEPT_STATES]

@@ -23,7 +23,7 @@ import numpy as np
 
 from .cats import cat_vectors, matrix_elements
 from .fock import (CHANNELS, FockSpace, HamiltonianAssembly, InvalidInputError, KerrCatParams,
-                   block_eigh, check_overflow, stack_pieces)
+                   block_eigh, present_channels, stack_pieces)
 from .spectral import NoRobustPointError, _gap_slopes, _spectra_pieces
 
 DEFAULT_SAMPLES = 2001
@@ -307,22 +307,21 @@ def _drag_exact(times, eps2_mod, eps2_dot, eps_y, eps_y_dot, params, space):
     Raises AdiabaticityLossError if the smallest squared singular value of the
     pair's overlap with the previous sample's pair (span{C_+, C_-} at t = 0)
     falls below MIN_SUBSPACE_OVERLAP, and InvalidInputError, before any piece,
-    if the table overflows (:func:`~kerrcat.fock.check_overflow`). The
+    if the table overflows (:func:`~kerrcat.fock.present_channels`). The
     samples are diagonalized in bounded pieces (:func:`~kerrcat.fock.stack_pieces`);
     each piece's pairs are reduced to their split and matrix elements before the
     next, carrying only the last pair, so memory does not grow with the samples.
     """
     assembly = HamiltonianAssembly.build(params, space)
     ops = np.stack([assembly.channels[name] for name in ("eps2_mod", "eps_y", "eps_x")])
-    table = np.column_stack([eps2_mod, eps_y])
-    check_overflow(assembly.drift, ops[:2], table)
     m = (len(times) + 1) // 2
+    live, table = present_channels(assembly.drift, ops[:2], np.column_stack([eps2_mod, eps_y])[:m])
     cats = cat_vectors(params.alpha, space)
     last = np.column_stack([cats.plus_cat, cats.minus_cat])[None]
     split = np.empty(m)
     m2, my, mx = np.empty((3, m), dtype=complex)
-    for piece in stack_pieces(m, (space.dim, space.dim), complex):
-        energies, states = block_eigh(assembly.drift, [*ops[:2]], table[piece], slice(None), False)
+    for piece in stack_pieces(m, assembly.drift.shape, np.result_type(assembly.drift, *live)):
+        energies, states = block_eigh(assembly.drift, live, table[piece], slice(None))
         # contiguous like the one-piece stack, so every product rounds the same
         spans = np.concatenate([last, states[..., -2:]])
         overlap = np.linalg.svd(spans[:-1].conj().transpose(0, 2, 1) @ spans[1:],

@@ -79,13 +79,13 @@ class LabeledSpectrum:
         return float(self.energies[1] - self.energies[0])
 
 
-def _block_spectra(drift: np.ndarray, ops, values: np.ndarray, real: bool):
+def _block_spectra(drift: np.ndarray, ops, values: np.ndarray):
     """:func:`_parity_spectra` of the table that :func:`~kerrcat.fock.present_channels` returns."""
     d = drift.shape[-1]
     energies = np.empty((*values.shape[:-1], d))
-    states = np.zeros((*values.shape[:-1], d, d), dtype=float if real else complex)
+    states = np.zeros((*values.shape[:-1], d, d), dtype=np.result_type(drift, *ops))
     for block in parity_blocks(d):
-        w, V = block_eigh(drift, ops, values, block, real)
+        w, V = block_eigh(drift, ops, values, block)
         pivot = np.take_along_axis(V, np.argmax(np.abs(V), axis=-2)[..., None, :], axis=-2)
         # a sector's columns are its Fock rows, filled from the top state down
         energies[..., block] = w[..., ::-1]
@@ -98,9 +98,9 @@ def _parity_spectra(drift: np.ndarray, ops, values: np.ndarray) -> tuple[np.ndar
 
     Every operator must be Hermitian and commute with parity, which is not
     checked here (see :func:`diagonalize_labeled`); each Fock parity block is
-    diagonalized on its own, real-symmetric (real states) when all operators
-    are real. The columns follow the cat ladder: column k is the (k // 2)-th
-    state below the top of the sector of parity (-1)^k, so |0>, |1> are
+    diagonalized on its own, real-symmetric (float64 states) when every
+    operator is float64. The columns follow the cat ladder: column k is the
+    (k // 2)-th state below the top of the sector of parity (-1)^k, so |0>, |1> are
     columns 0 and 1, and the next state down in each sector is column 2 or 3.
     Each state's largest-magnitude Fock coefficient is real and positive.
     """
@@ -112,17 +112,17 @@ def _spectra_pieces(drift: np.ndarray, ops, values: np.ndarray):
 
     The pieces are :func:`~kerrcat.fock.stack_pieces` of the leading axis of
     ``values``, one item being that point's d x d states, so the states held
-    at once stay within ``STACK_ENTRIES``. The real path is chosen once for
-    the whole stack, so each point's spectrum does not depend on the piece it
-    is taken in. Raises :class:`ParityLabelError` when a present channel
+    at once stay within ``STACK_ENTRIES``. The operators' dtypes choose the
+    real path for the whole stack, so each point's spectrum does not depend on
+    the piece it is taken in. Raises :class:`ParityLabelError` when a present channel
     couples the parity sectors (a single-photon drive).
     """
-    ops, values, real = present_channels(drift, ops, values)
+    ops, values = present_channels(drift, ops, values)
     if not all(keeps_parity(op) for op in ops):
         raise ParityLabelError("a channel couples the parity sectors")
     for piece in stack_pieces(len(values), (*values.shape[1:-1], *drift.shape),
-                              float if real else complex):
-        yield piece, *_block_spectra(drift, ops, values[piece], real)
+                              np.result_type(drift, *ops)):
+        yield piece, *_block_spectra(drift, ops, values[piece])
 
 
 def _gap_slopes(drift: np.ndarray, ops, values: np.ndarray):
@@ -154,8 +154,9 @@ def diagonalize_labeled(H: np.ndarray) -> LabeledSpectrum:
     The even and odd Fock sectors are diagonalized separately, so the labels
     are exact also at the delta = 0 degeneracy point. Column k has parity
     (-1)^k and |0>, |1> are columns 0 and 1 (see :func:`_parity_spectra`).
-    Raises :class:`InvalidInputError` when ``H`` is not a finite Hermitian
-    matrix, and :class:`ParityLabelError` when it couples the parity sectors.
+    A complex H with zero imaginary part is diagonalized as ``H.real``, its
+    states complex. Raises :class:`InvalidInputError` when ``H`` is not a finite
+    Hermitian matrix, and :class:`ParityLabelError` when it couples the parity sectors.
     """
     if not np.all(np.isfinite(H)) or hermiticity_defect(H) > HERMITICITY_TOL:
         raise InvalidInputError("Hamiltonian is not a finite Hermitian matrix")
@@ -163,7 +164,7 @@ def diagonalize_labeled(H: np.ndarray) -> LabeledSpectrum:
     coupling = np.hypot(np.linalg.norm(H[0::2, 1::2]), np.linalg.norm(H[1::2, 0::2]))
     if 2.0 * coupling > PARITY_COMM_TOL * np.linalg.norm(H):
         raise ParityLabelError("Hamiltonian does not commute with the parity operator")
-    return _labeled(*_parity_spectra(H, [], np.empty(0)), H)
+    return _labeled(*_parity_spectra(H if np.any(np.imag(H)) else H.real, [], np.empty(0)), H)
 
 
 def _labeled(energies: np.ndarray, states: np.ndarray, H: np.ndarray) -> LabeledSpectrum:
@@ -198,8 +199,10 @@ def _checked_slopes(assembly: HamiltonianAssembly, deltas, neighbor_tol: float):
     """Gap derivatives and sector gaps at the detuning shifts ``deltas``.
 
     Refuses near-degenerate states: raises :class:`IllConditionedError` when
-    a sector gap falls below ``neighbor_tol`` K.
+    a sector gap falls below ``neighbor_tol`` K (InvalidInputError unless finite, >= 0).
     """
+    if not 0 <= neighbor_tol < np.inf:
+        raise InvalidInputError(f"neighbor_tol must be finite and >= 0, got {neighbor_tol!r}")
     _, slopes, sector_gap = _gap_slopes(assembly.drift, [assembly.channels["delta"]],
                                         np.asarray(deltas, dtype=float)[:, None])
     if np.any(sector_gap < neighbor_tol * assembly.params.kerr):

@@ -137,13 +137,14 @@ def two_mode_hamiltonian_parts(
     """(H_A x I + I x H_B, coupling operator) on the dim^2 space.
 
     H_A and H_B are the single-mode drifts, each with its mode's ``params.delta``.
+    Both parts are float64 at ``phase`` 0, and the coupling is complex otherwise.
     """
     eye = np.eye(space.dim)
     drift_A = HamiltonianAssembly.build(params_A, space).drift
     drift_B = HamiltonianAssembly.build(params_B, space).drift
     H0 = np.kron(drift_A, eye) + np.kron(eye, drift_B)
     a = destroy(space)
-    bs = np.exp(1j * phase) * np.kron(a.conj().T, a)
+    bs = np.kron(a.T, a) * (np.exp(1j * phase) if phase else 1.0)
     return H0, bs + bs.conj().T
 
 
@@ -169,8 +170,8 @@ def full_two_mode_propagate(
 
     Each mode is detuned by its own ``params.delta``; the envelope is checked like
     a schedule's grid and the steps split [0, last time] as in ``propagate_many``.
-    One full-dimension ``eigh`` per step, real when the coupling is real or absent
-    (g = 0 throughout), applied by the kernel's time-ordered product.
+    One full-dimension ``eigh`` per step, real when the coupling is float64 (phase 0)
+    or absent (g = 0 throughout), applied by the kernel's time-ordered product.
     """
     if space.dim > 24:
         raise ValueError("per-mode dim > 24 is beyond the intended scale here")
@@ -178,8 +179,8 @@ def full_two_mode_propagate(
     _check_grid(times, g, what="coupling envelope")
     mid, dt = _step_grid(times[-1], n_steps)
     H0, coupling = two_mode_hamiltonian_parts(params_A, params_B, space, phase)
-    ops, values, real = present_channels(H0, [coupling], np.interp(mid, times, g)[:, None])
-    return _time_ordered((_step_eigenpairs(H0, ops, row, slice(None), real, dt) for row in values),
+    ops, values = present_channels(H0, [coupling], np.interp(mid, times, g)[:, None])
+    return _time_ordered((_step_eigenpairs(H0, ops, row, slice(None), dt) for row in values),
                          n_steps, H0.shape)
 
 

@@ -8,6 +8,7 @@ from kerrcat.fock import (CHANNELS, FockSpace, HamiltonianAssembly,
                           InvalidInputError, InvalidSpaceError, KerrCatParams,
                           block_hamiltonians, build_hamiltonian, create, destroy,
                           hermiticity_defect, number_operator, parity_operator)
+from kerrcat.twoqubit import two_mode_hamiltonian_parts
 
 
 def test_fock_space_validation():
@@ -16,6 +17,14 @@ def test_fock_space_validation():
     with pytest.raises(InvalidSpaceError):
         FockSpace(0)
     assert FockSpace(2).dim == 2
+    assert FockSpace(np.int64(7)).dim == 7
+
+
+@pytest.mark.parametrize("dim", [30.5, 20.0, True])
+def test_fock_space_rejects_non_integer_dim(dim):
+    # a float dimension used to build a ceil(dim)-level space without an error
+    with pytest.raises(InvalidSpaceError, match="integer"):
+        FockSpace(dim)
 
 
 def test_params_validation():
@@ -143,19 +152,26 @@ def test_cached_operators_are_read_only():
     assert np.array_equal(copy.channels["eps_y"], again.channels["eps_y"])
 
 
-def test_real_stack_built_without_complex_copy():
-    # the two-mode check's table: two complex-typed 256 x 256 operators on the
-    # real path; stacking complex copies and then taking .real peaked at 2.5 MiB
-    rng = np.random.default_rng(0)
-    a = rng.normal(size=(256, 256))
-    drift, op = (a + a.T).astype(complex), np.diag(rng.normal(size=256)).astype(complex)
+def test_real_operators_are_float64():
+    # every operator but eps_y is float64, so the dtypes choose the real path;
+    # the two-mode check's real 256 x 256 table is stacked with no complex copy
+    space = FockSpace(40)
+    asm = HamiltonianAssembly.build(KerrCatParams.from_alpha2(2.0, delta=0.3), space)
+    assert asm.drift.dtype == np.float64
+    for name in CHANNELS:
+        assert (asm.channels[name].dtype == np.float64) == (name != "eps_y"), name
+    assert build_hamiltonian(asm.params, space, {"eps_x": 0.1, "delta": 0.2}).dtype == np.float64
+    pa, pb = KerrCatParams.from_alpha2(1.0), KerrCatParams.from_alpha2(1.5)
+    H0, coupling = two_mode_hamiltonian_parts(pa, pb, FockSpace(16), phase=0.0)
+    assert H0.dtype == np.float64 and coupling.dtype == np.float64
+    assert np.iscomplexobj(two_mode_hamiltonian_parts(pa, pb, FockSpace(16), phase=0.7)[1])
     values = np.array([0.3])
     tracemalloc.start()
     try:
-        H = block_hamiltonians(drift, [op], values, slice(None), True)
+        H = block_hamiltonians(H0, [coupling], values, slice(None))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert H.dtype == float
-    assert np.array_equal(H, block_hamiltonians(drift, [op], values, slice(None), False).real)
+    assert H.dtype == np.float64
+    assert np.array_equal(H, H0 + 0.3 * coupling)
     assert peak < 2 * 2**20, f"peak {peak / 2**20:.2f} MiB"

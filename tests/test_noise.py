@@ -310,3 +310,32 @@ def test_spectral_infidelity_is_the_filter_weights_estimate():
     for noise in (NoiseModel("ornstein-uhlenbeck", {"sigma": 1e-3, "tau_c": 60.0}),
                   NoiseModel("gaussian-quasistatic", {"sigma": 1e-3})):
         assert ff.spectral_infidelity(noise) == spectral_average_infidelity(t, deriv, noise)
+
+
+def test_monte_carlo_refuses_unresolved_step_phases():
+    # at sigma 1e200 the step phases w dt ~ 1e199 are rounding noise, which
+    # used to give a plausible infidelity (0.87) instead of an error
+    p = KerrCatParams.from_alpha2(2.0)
+    sched = scheme_z_straight(30.0, 0.58872, -1.07378, p, n_samples=301)
+    space = FockSpace(20)
+    calm = NoiseModel("gaussian-quasistatic", {"sigma": 1e-3}, seed=1)
+    assert 0.0 < monte_carlo_infidelity(sched, calm, space, n_traces=2, n_steps=10) < 0.1
+    wild = NoiseModel("gaussian-quasistatic", {"sigma": 1e200}, seed=1)
+    with pytest.raises(InvalidInputError, match="step phase"):
+        monte_carlo_infidelity(sched, wild, space, n_traces=2, n_steps=10)
+
+
+@pytest.mark.parametrize("T", [0.0, -1.0, float("nan"), float("inf"), True])
+def test_default_frequency_grid_needs_a_duration(T):
+    # T = 0 raised ZeroDivisionError and T = nan returned a NaN grid
+    with pytest.raises(InvalidInputError, match="duration"):
+        default_frequency_grid(T)
+
+
+def test_filter_function_refuses_non_finite_weight():
+    # a NaN weight passed the sign check and made spectral_infidelity NaN
+    omegas = np.array([0.0, 1.0, 2.0])
+    with pytest.raises(InvalidInputError, match="finite"):
+        FilterFunction(omegas=omegas, W=np.array([1.0, np.nan, 0.5]))
+    with pytest.raises(InvalidInputError, match="finite"):
+        filter_weight(np.linspace(0.0, 1.0, 5), np.ones(5), np.array([0.0, np.nan]))

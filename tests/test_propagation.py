@@ -14,7 +14,7 @@ from scipy.linalg import expm
 from kerrcat.fidelity import computational_pair, infidelity
 from kerrcat import fock, propagation
 from kerrcat.fock import (FockSpace, HamiltonianAssembly, InvalidInputError, KerrCatParams,
-                          block_hamiltonians, is_real, keeps_parity, parity_blocks,
+                          block_hamiltonians, keeps_parity, parity_blocks,
                           parity_operator, present_channels)
 from kerrcat.noise import NoiseModel, default_frequency_grid, filter_weight, sample_noise
 from kerrcat.propagation import (_apply_step, _propagate_steps, _step_eigenpairs,
@@ -93,12 +93,12 @@ def _expm_product(drift, ops, values, dt):
 
 def _sequential_product(drift, ops, values, dt):
     """Reference: every step's eigenpairs applied to the identity in time order, unfolded."""
-    ops, values, real = present_channels(drift, ops, values)
+    ops, values = present_channels(drift, ops, values)
     d = drift.shape[0]
-    parity = real and all(keeps_parity(op) for op in (drift, *ops))
+    parity = all(np.isrealobj(op) and keeps_parity(op) for op in (drift, *ops))
     U = np.zeros((len(values), d, d), dtype=complex)
     for block in parity_blocks(d) if parity else (slice(0, d),):
-        phases, V = _step_eigenpairs(drift, ops, values, block, real, dt)
+        phases, V = _step_eigenpairs(drift, ops, values, block, dt)
         prod = np.broadcast_to(np.eye(V.shape[-1], dtype=complex), V[:, 0].shape).copy()
         work = np.empty_like(prod)
         for k in range(values.shape[1]):
@@ -128,13 +128,13 @@ def test_apply_step_matches_expm(kind, dim, batch_shape, n_prior, seed, dt):
         ops = list((A + np.swapaxes(A, -1, -2).conj()).reshape(-1, dim, dim))
         drift, block = np.zeros((dim, dim)), slice(0, dim)
         values = np.eye(len(ops)).reshape(*A.shape[:-2], len(ops))
-    H = block_hamiltonians(drift, ops, values, block, real)
+    H = block_hamiltonians(drift, ops, values, block)
     b = H.shape[-1]
     U = np.broadcast_to(np.eye(b, dtype=complex), H.shape[1:]).copy()
     ref = U.reshape(-1, b, b).copy()
     work = np.empty_like(U)
     for k, Hk in enumerate(H):
-        step = _step_eigenpairs(drift, ops, values[k], block, real, dt)
+        step = _step_eigenpairs(drift, ops, values[k], block, dt)
         assert np.isrealobj(step[1]) == real
         assert _apply_step(step, U, work) is U
         ref = np.array([expm(-1j * h * dt) @ r for h, r in zip(Hk.reshape(-1, b, b), ref)])
@@ -791,4 +791,4 @@ def test_kept_basis_keeps_kernel_paths():
     assert np.array_equal(drift, np.diag(np.diag(drift)))
     spec = diagonalize_labeled(HamiltonianAssembly.build(p, SPACE).drift)
     assert np.allclose(np.diag(drift)[:2], spec.energies[:2], atol=1e-12)
-    assert all(is_real(op) and keeps_parity(op) for op in ops)
+    assert all(np.isrealobj(op) and keeps_parity(op) for op in ops)

@@ -285,3 +285,22 @@ def test_robust_cache_range_guard():
         cache(0.5)
     with pytest.raises(NoRobustPointError):
         cache(2.5)
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1e-8])
+def test_gap_derivative_refuses_bad_neighbor_tol(tol):
+    # a NaN tolerance switched the near-degeneracy guard off without a word
+    with pytest.raises(InvalidInputError, match="neighbor_tol"):
+        gap_derivative(KerrCatParams.from_alpha2(2.0), 0.2, FockSpace(30), neighbor_tol=tol)
+
+
+def test_complex_typed_real_hamiltonian_labeled_as_its_real_part():
+    # outside Hamiltonians may come complex-typed; one with zero imaginary part
+    # takes the real path, and its states keep H's dtype
+    H = build_hamiltonian(KerrCatParams.from_alpha2(2.0), SPACE, {"delta": 0.3})
+    assert H.dtype == np.float64
+    real, cplx = diagonalize_labeled(H), diagonalize_labeled(H.astype(complex))
+    assert cplx.states.dtype == np.complex128
+    assert np.array_equal(cplx.energies, real.energies)
+    assert np.array_equal(cplx.states, real.states)
+    assert cplx.states.real.tobytes() == real.states.tobytes()
