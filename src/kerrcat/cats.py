@@ -12,7 +12,7 @@ from math import atan2, cos, exp, lgamma, sin, sqrt
 
 import numpy as np
 
-from .fock import FockSpace
+from .fock import FockSpace, InvalidInputError
 
 
 class TruncationError(ValueError):
@@ -43,8 +43,8 @@ def cat_vectors(alpha: float, space: FockSpace) -> CatBasis:
     The alpha = 0 limit returns the Fock states |0> and |1> (the odd
     normalization N_- vanishes there, so the limit is taken explicitly).
     """
-    if alpha < 0:
-        raise ValueError("alpha must be >= 0")
+    if not alpha >= 0:  # NaN too
+        raise InvalidInputError(f"alpha must be >= 0, got {alpha}")
     if space.dim <= alpha**2 + 8 * sqrt(alpha**2 + 1):
         raise TruncationError(
             f"dim={space.dim} too small for alpha^2={alpha**2:.3g}"
@@ -70,8 +70,8 @@ def matrix_elements(alpha: float) -> tuple[float, float]:
     h_x = 2 alpha / sqrt(1 - exp(-4 alpha^2)) and h_y = h_x exp(-2 alpha^2);
     the alpha -> 0 limit gives (1, 1), the bare-qubit values.
     """
-    if alpha < 0:
-        raise ValueError("alpha must be >= 0")
+    if not alpha >= 0:  # NaN too
+        raise InvalidInputError(f"alpha must be >= 0, got {alpha}")
     if alpha == 0:
         return 1.0, 1.0
     hx = 2.0 * alpha / sqrt(1.0 - exp(-4.0 * alpha**2))
@@ -127,8 +127,8 @@ def projected_number_operator(alpha: float) -> ProjectedNumberOperator:
     the alpha = 0 limit gives <n>_+ = 0, <n>_- = 1, i.e. (1/2, -1/2).
     """
     a2 = alpha**2
-    if alpha < 0:
-        raise ValueError("alpha must be >= 0")
+    if not alpha >= 0:  # NaN too
+        raise InvalidInputError(f"alpha must be >= 0, got {alpha}")
     if a2 == 0:
         n_plus, n_minus = 0.0, 1.0
     else:

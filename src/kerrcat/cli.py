@@ -8,9 +8,9 @@ Subcommands
     twoqubit     effective-model versus full two-mode validation
     convergence  truncation and step-size drift on sampled points
 
-Configs are JSON files; a handful of named presets reproduce the standard
-sweep families. Every output carries the package version and a hash of the
-resolved config, and reruns with the same config and seed are byte-identical.
+Configs are JSON files; named presets reproduce the standard sweep families. The
+JSON reports, robust_line.csv and gate_sweep.csv carry the package version and a
+hash of the resolved config; reruns with the same config and seed are byte-identical.
 A config fault exits 1 and a numerical failure exits 2; an ``alpha2``, ``alpha2_A``,
 ``alpha2_B`` or ``alpha2_list`` entry that is not a finite number >= 0, or a ``T`` or
 ``T_list`` entry that is not a finite number > 0, is a config fault. The Z_ROBUSTLINE

@@ -8,12 +8,11 @@ symmetric detuning window with composite-Simpson weights.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import FockSpace, InvalidInputError, KerrCatParams
+from .fock import FockSpace, InvalidInputError, KerrCatParams, _count, _save_table
 from .pulses import PulseSchedule
 from .propagation import propagate_many
 from .spectral import spectrum_at
@@ -52,7 +51,7 @@ def infidelity(
 def simpson_nodes(delta_max: float = DEFAULT_DELTA_MAX,
                   n_nodes: int = DEFAULT_DELTA_NODES) -> tuple[np.ndarray, np.ndarray]:
     """Detuning nodes and normalized composite-Simpson weights on [-dmax, dmax]."""
-    if n_nodes < 3 or n_nodes % 2 == 0:
+    if _count(n_nodes, 3, "n_nodes") % 2 == 0:
         raise ValueError("composite Simpson needs an odd node count >= 3")
     nodes = np.linspace(-delta_max, delta_max, n_nodes)
     w = np.ones(n_nodes)
@@ -84,11 +83,8 @@ class InfidelityGrid:
         return float(self.infidelities[k])
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["delta", "weight", "infidelity"])
-            for d, w, i in zip(self.delta_nodes, self.weights, self.infidelities):
-                writer.writerow([f"{d:.12g}", f"{w:.12g}", f"{i:.12g}"])
+        _save_table(path, ["delta", "weight", "infidelity"],
+                    self.delta_nodes, self.weights, self.infidelities)
 
 
 def average_infidelity(

@@ -30,6 +30,31 @@ class InvalidInputError(ValueError):
     """Non-finite or otherwise unusable numerical input."""
 
 
+def _count(n, least: int, name: str) -> int:
+    """``n`` if it is an integer >= ``least`` and not a bool; else InvalidInputError naming it."""
+    if isinstance(n, bool) or not isinstance(n, Integral) or n < least:
+        raise InvalidInputError(f"{name} must be an integer >= {least}, got {n!r}")
+    return n
+
+
+def _finite(x, name: str):
+    """``x`` if it is a finite number; else InvalidInputError naming it."""
+    if not np.isfinite(x):
+        raise InvalidInputError(f"non-finite {name}: {x}")
+    return x
+
+
+def _save_table(path, header, *columns) -> None:
+    """Write the equal-length ``columns`` to ``path`` under the names ``header``.
+
+    The package's one table format: a header row, then one row per entry, values
+    comma-separated to 12 significant digits (``%.12g``), rows ended by CRLF as by ``csv``.
+    """
+    with open(path, "w", newline="") as fh:
+        np.savetxt(fh, np.column_stack(columns), fmt="%.12g", delimiter=",",
+                   header=",".join(header), comments="", newline="\r\n")
+
+
 CHANNELS = ("delta", "eps2_mod", "eps_x", "eps_y")
 
 
@@ -225,9 +250,7 @@ class HamiltonianAssembly:
             for name, value in channel_values.items():
                 if name not in self.channels:
                     raise InvalidInputError(f"unknown channel {name!r}")
-                if not np.isfinite(value):
-                    raise InvalidInputError(f"non-finite value for channel {name!r}: {value}")
-                if value != 0.0:
+                if _finite(value, f"value for channel {name!r}") != 0.0:
                     H = H + value * self.channels[name]
         return H
 

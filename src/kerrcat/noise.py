@@ -20,7 +20,6 @@ and score them like the static-detuning grid of :mod:`fidelity`.
 
 from __future__ import annotations
 
-import csv
 import warnings
 from dataclasses import dataclass, field
 from numbers import Integral
@@ -28,8 +27,8 @@ from numbers import Integral
 import numpy as np
 
 from .fidelity import _pair_infidelities
-from .fock import FockSpace, InvalidInputError, stack_pieces
-from .pulses import PulseSchedule, _count, _duration, gap_traces
+from .fock import FockSpace, InvalidInputError, _count, _save_table, stack_pieces
+from .pulses import PulseSchedule, _duration, gap_traces
 
 NOISE_KINDS = ("static", "gaussian-quasistatic", "ornstein-uhlenbeck", "tabulated-psd")
 
@@ -187,9 +186,11 @@ def angle_error_functional(
 
     ``(t, deriv)`` is a gap-slope trace (from :func:`gap_traces`, or a
     segment of one) and ``delta_trace`` is sampled uniformly over its span
-    [t[0], t[-1]].
+    [t[0], t[-1]]; each needs 2 samples or more (InvalidInputError).
     """
     delta_trace = np.asarray(delta_trace, dtype=float)
+    if min(len(t), len(delta_trace)) < 2:
+        raise InvalidInputError("the angle error needs 2 or more trace and detuning samples")
     t_delta = np.linspace(t[0], t[-1], len(delta_trace))
     integrand = delta_trace * np.interp(t_delta, t, deriv)
     return float(-np.trapezoid(integrand, t_delta))
@@ -212,11 +213,7 @@ class FilterFunction:
         return float(self.W[zero[0]])
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["omega", "W"])
-            for o, w in zip(self.omegas, self.W):
-                writer.writerow([f"{o:.12g}", f"{w:.12g}"])
+        _save_table(path, ["omega", "W"], self.omegas, self.W)
 
     def spectral_infidelity(self, noise: NoiseModel) -> float:
         """PSD-convolution estimate int domega/2pi S(omega) W(omega) on this grid.
@@ -246,6 +243,8 @@ def filter_weight(t: np.ndarray, deriv: np.ndarray, omegas: np.ndarray) -> Filte
     :func:`~kerrcat.fock.stack_pieces`, so memory does not grow with the grid
     size times the trace length; each row's quadrature is the same in any piece.
     """
+    if len(t) < 2:
+        raise InvalidInputError("the filter weight needs a slope trace of 2 or more samples")
     omegas = np.asarray(omegas, dtype=float)
     W = np.empty(omegas.shape)
     for piece in stack_pieces(len(omegas), len(t), complex):
@@ -256,8 +255,9 @@ def filter_weight(t: np.ndarray, deriv: np.ndarray, omegas: np.ndarray) -> Filte
 
 
 def default_frequency_grid(T: float, n_points: int = 513) -> np.ndarray:
-    """omega = 0 plus log-spaced points over [1e-3/T, 1e3/T], for a finite positive duration T."""
-    grid = np.logspace(np.log10(1e-3 / _duration(T)), np.log10(1e3 / T), n_points - 1)
+    """omega = 0 plus ``n_points`` - 1 >= 1 log-spaced points over [1e-3/T, 1e3/T], T finite > 0."""
+    grid = np.logspace(np.log10(1e-3 / _duration(T)), np.log10(1e3 / T),
+                       _count(n_points, 2, "n_points") - 1)
     return np.concatenate(([0.0], grid))
 
 

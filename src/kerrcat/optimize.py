@@ -10,18 +10,18 @@ example ramps that would drive the cat size negative) never win.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable
 
 import numpy as np
 
 from .cats import TruncationError
-from .fock import FockSpace, InvalidInputError
+from .fock import FockSpace, InvalidInputError, _count
 from .fidelity import average_infidelity, computational_pair
 from .noise import first_order_coefficient
 from .propagation import propagate
 from .pulses import (AdiabaticityLossError, InvalidRampError, PulseSchedule,
-                     SchemeInfeasibleError, _count, scheme_z_straight)
+                     SchemeInfeasibleError, scheme_z_straight)
 
 INFEASIBLE_SCORE = 1.0
 #: each refinement round's box is this many times smaller than the last
@@ -44,6 +44,8 @@ class ParamSpace:
     def __post_init__(self):
         if not (len(self.names) == len(self.lower) == len(self.upper)):
             raise ValueError("names, lower, upper must have equal length")
+        if not np.isfinite(np.concatenate([self.lower, self.upper])).all():
+            raise InvalidInputError("parameter bounds must be finite")
         if np.any(np.asarray(self.upper) < np.asarray(self.lower)):
             raise ValueError("upper bound below lower bound")
 
@@ -66,12 +68,7 @@ class OptimizationRecord:
 
     def to_json(self, path) -> None:
         with open(path, "w") as fh:
-            json.dump({
-                "best_params": self.best_params,
-                "best_score": self.best_score,
-                "n_evaluations": self.n_evaluations,
-                "history": self.history,
-            }, fh, indent=2)
+            json.dump(asdict(self), fh, indent=2)
 
     @classmethod
     def from_json(cls, path) -> "OptimizationRecord":

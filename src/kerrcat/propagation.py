@@ -38,9 +38,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import (FockSpace, InvalidInputError, block_eigh, keeps_parity, parity_blocks,
+from .fock import (FockSpace, InvalidInputError, _count, block_eigh, keeps_parity, parity_blocks,
                    present_channels, stack_pieces)
-from .pulses import PulseSchedule, _count, _sample_times
+from .pulses import PulseSchedule, _sample_times
 from .spectral import _parity_spectra, _spectra_pieces
 
 

@@ -14,16 +14,15 @@ which vanishes with zero slope at both endpoints and peaks at f(T/2) = 1.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
-from numbers import Integral, Real
+from numbers import Real
 from typing import Callable
 
 import numpy as np
 
 from .cats import cat_vectors, matrix_elements
 from .fock import (CHANNELS, FockSpace, HamiltonianAssembly, InvalidInputError, KerrCatParams,
-                   block_eigh, present_channels, stack_pieces)
+                   _count, _finite, _save_table, block_eigh, present_channels, stack_pieces)
 from .spectral import NoRobustPointError, _gap_slopes, _spectra_pieces
 
 DEFAULT_SAMPLES = 2001
@@ -92,13 +91,6 @@ def _duration(T: float) -> float:
     if isinstance(T, bool) or not isinstance(T, Real) or not 0.0 < T < np.inf:
         raise InvalidInputError(f"pulse duration must be finite and positive, got {T!r}")
     return T
-
-
-def _count(n, least: int, name: str) -> int:
-    """``n`` if it is an integer >= ``least`` and not a bool; else InvalidInputError naming it."""
-    if isinstance(n, bool) or not isinstance(n, Integral) or n < least:
-        raise InvalidInputError(f"{name} must be an integer >= {least}, got {n!r}")
-    return n
 
 
 def _sample_times(T: float, n_samples: int) -> np.ndarray:
@@ -222,11 +214,7 @@ class PulseSchedule:
 
     def to_csv(self, path) -> None:
         names = [c for c in CHANNELS if c in self.channels]
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t", *names])
-            for k, t in enumerate(self.times):
-                writer.writerow([f"{t:.12g}", *(f"{self.channels[n][k]:.12g}" for n in names)])
+        _save_table(path, ["t", *names], self.times, *(self.channels[n] for n in names))
 
 
 def idle_schedule(T: float, params: KerrCatParams, n_samples: int = DEFAULT_SAMPLES) -> PulseSchedule:
@@ -255,7 +243,7 @@ def scheme_x(
     times = _sample_times(T, n_samples)
     return PulseSchedule(
         times=times,
-        channels={"eps_x": eps_x0 * truncated_gaussian(times, T)},
+        channels={"eps_x": _finite(eps_x0, "eps_x0") * truncated_gaussian(times, T)},
         target=rot_x(theta),
         scheme="X",
         base=params,
@@ -362,12 +350,10 @@ def scheme_y_drag(
     """
     if not eps2_ramp0 <= 0:  # NaN too: the DRAG tables diagonalize the ramp before any table check
         raise InvalidRampError("eps2_ramp0 must be <= 0 (ramp lowers the cat size)")
-    if not np.isfinite(eps_y0):
-        raise InvalidInputError(f"eps_y0 must be finite, got {eps_y0}")
     times = _sample_times(T, n_samples)
     f = truncated_gaussian(times, T)
     fdot = truncated_gaussian_deriv(times, T)
-    eps_y = eps_y0 * f
+    eps_y = _finite(eps_y0, "eps_y0") * f
     eps2_mod = eps2_ramp0 * f
     alpha2_t = (params.eps2_0 + eps2_mod) / params.kerr
     if np.any(alpha2_t < -1e-12):
@@ -462,7 +448,7 @@ def scheme_z_straight(
     time-averaged gap derivative to vanish, which the optimizer arranges
     by pushing the midpoint beyond the robust line.
     """
-    if eps2_ramp0 > 0:
+    if _finite(eps2_ramp0, "eps2_ramp0") > 0:
         raise InvalidRampError("eps2_ramp0 must be <= 0")
     if params.eps2_0 + eps2_ramp0 < -1e-12:
         raise InvalidRampError("ramp drives the cat size negative")
@@ -470,7 +456,7 @@ def scheme_z_straight(
     f = truncated_gaussian(times, T)
     return PulseSchedule(
         times=times,
-        channels={"delta": delta_max * f, "eps2_mod": eps2_ramp0 * f},
+        channels={"delta": _finite(delta_max, "delta_max") * f, "eps2_mod": eps2_ramp0 * f},
         target=rot_z(theta),
         scheme="Z_STRAIGHT",
         base=params,
@@ -510,7 +496,7 @@ def scheme_xx_envelope(T: float, g0: float, n_samples: int = DEFAULT_SAMPLES,
                        constant: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """Beamsplitter coupling envelope g(t): truncated Gaussian or constant."""
     times = _sample_times(T, n_samples)
-    values = np.full_like(times, g0) if constant else g0 * truncated_gaussian(times, T)
+    values = _finite(g0, "g0") * (np.ones_like(times) if constant else truncated_gaussian(times, T))
     return times, values
 
 

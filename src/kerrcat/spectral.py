@@ -16,7 +16,6 @@ Hellmann-Feynman identity d E_j / d delta = <psi_j| a^dag a |psi_j>.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -27,6 +26,9 @@ from .fock import (
     HamiltonianAssembly,
     InvalidInputError,
     KerrCatParams,
+    _count,
+    _finite,
+    _save_table,
     block_eigh,
     hermiticity_defect,
     keeps_parity,
@@ -182,8 +184,7 @@ def spectrum_at(params: KerrCatParams, delta_shift: float, space: FockSpace) -> 
     drift plus ``delta_shift`` times the number operator. A non-finite shift,
     or one that overflows the Hamiltonian, raises :class:`InvalidInputError`.
     """
-    if not np.isfinite(delta_shift):
-        raise InvalidInputError(f"non-finite value for channel 'delta': {delta_shift}")
+    _finite(delta_shift, "value for channel 'delta'")
     assembly = HamiltonianAssembly.build(params, space)
     spectra = _parity_spectra(assembly.drift, [assembly.channels["delta"]],
                               np.array([delta_shift], float))
@@ -225,8 +226,7 @@ def gap_derivative(
     A non-finite shift, or one that overflows the Hamiltonian, raises
     :class:`InvalidInputError`.
     """
-    if not np.isfinite(delta_shift):
-        raise InvalidInputError(f"non-finite value for channel 'delta': {delta_shift}")
+    _finite(delta_shift, "value for channel 'delta'")
     assembly = HamiltonianAssembly.build(params, space)
     (slope,), _ = _checked_slopes(assembly, [delta_shift], neighbor_tol)
     return float(slope)
@@ -301,13 +301,10 @@ class GapLandscape:
     gap_deriv: np.ndarray  # shape (n_delta, n_alpha2)
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["delta", "alpha2", "gap", "gap_deriv"])
-            for i, d in enumerate(self.delta_grid):
-                for j, a2 in enumerate(self.alpha2_grid):
-                    writer.writerow([f"{d:.12g}", f"{a2:.12g}",
-                                     f"{self.gap[i, j]:.12g}", f"{self.gap_deriv[i, j]:.12g}"])
+        """One row per grid point, delta outer and alpha^2 inner."""
+        d, a2 = np.meshgrid(self.delta_grid, self.alpha2_grid, indexing="ij")
+        _save_table(path, ["delta", "alpha2", "gap", "gap_deriv"],
+                    d.ravel(), a2.ravel(), self.gap.ravel(), self.gap_deriv.ravel())
 
 
 def gap_landscape(
@@ -341,7 +338,7 @@ class RobustLineCache:
             raise InvalidInputError("alpha2_max must exceed alpha2_min")
         self.alpha2_min = alpha2_min
         self.alpha2_max = alpha2_max
-        grid = np.linspace(alpha2_min, alpha2_max, n_points)
+        grid = np.linspace(alpha2_min, alpha2_max, _count(n_points, 2, "n_points"))
         values = np.array([robust_line(a2, space) for a2 in grid])
         self._interp = PchipInterpolator(grid, values)
 

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 from kerrcat.cats import (TruncationError, axis_from_drive_phase, cat_vectors,
                           coherent_vector, drive_phase_for_axis, matrix_elements,
                           projected_number_operator)
-from kerrcat.fock import FockSpace, destroy, parity_operator
+from kerrcat.fock import FockSpace, InvalidInputError, destroy, parity_operator
 
 SPACE = FockSpace(40)
 
@@ -136,3 +137,17 @@ def test_import_and_x_seed_leave_scipy_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_nan_alpha_refused():
+    # a NaN alpha passed the `alpha < 0` checks and gave NaN vectors and fields
+    nan = float("nan")
+    calls = (lambda: cat_vectors(nan, FockSpace(20)), lambda: matrix_elements(nan),
+             lambda: projected_number_operator(nan), lambda: axis_from_drive_phase(0.3, nan))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in calls:
+            with pytest.raises(InvalidInputError, match="alpha"):
+                call()
+    with pytest.raises(ValueError):  # still a ValueError for a negative alpha
+        matrix_elements(-0.5)

@@ -92,6 +92,18 @@ def test_simpson_weights():
         simpson_nodes(1e-3, 10)
 
 
+def test_simpson_node_count_is_a_count():
+    # a float count failed with numpy's TypeError, here and in average_infidelity
+    for n in (5.0, 1, True):
+        with pytest.raises(InvalidInputError, match="n_nodes"):
+            simpson_nodes(5e-3, n)
+    with pytest.raises(InvalidInputError, match="n_nodes"):
+        average_infidelity(scheme_x(20.0, 0.05, KerrCatParams.from_alpha2(2.0)), FockSpace(10),
+                           n_nodes=5.0)
+    with pytest.raises(ValueError, match="odd node count"):
+        simpson_nodes(5e-3, 4)
+
+
 def test_grid_average_and_csv(tmp_path):
     nodes, w = simpson_nodes(5e-3, 11)
     infs = 2.0 * nodes**2

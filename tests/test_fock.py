@@ -1,3 +1,4 @@
+import csv
 import pickle
 import tracemalloc
 
@@ -6,7 +7,7 @@ import pytest
 
 from kerrcat.fock import (CHANNELS, FockSpace, HamiltonianAssembly,
                           InvalidInputError, InvalidSpaceError, KerrCatParams,
-                          block_hamiltonians, build_hamiltonian, create, destroy,
+                          _save_table, block_hamiltonians, build_hamiltonian, create, destroy,
                           hermiticity_defect, number_operator, parity_operator)
 from kerrcat.twoqubit import two_mode_hamiltonian_parts
 
@@ -175,3 +176,15 @@ def test_real_operators_are_float64():
     assert H.dtype == np.float64
     assert np.array_equal(H, H0 + 0.3 * coupling)
     assert peak < 2 * 2**20, f"peak {peak / 2**20:.2f} MiB"
+
+
+@pytest.mark.parametrize("n_rows", [10, 1, 0])
+def test_save_table_writes_the_csv_modules_bytes(tmp_path, n_rows):
+    # the format of the csv.writer loops it replaced: a header row, then f"{v:.12g}" per value
+    edge = np.array([0.0, -0.0, 5e-324, np.nan, np.inf, -np.inf, 1 / 3, 1e22, -2.5, 7.0])
+    columns = (edge[:n_rows], edge[::-1][:n_rows], np.arange(n_rows))
+    with open(tmp_path / "ref.csv", "w", newline="") as fh:
+        csv.writer(fh).writerows([["a", "b", "c"],
+                                  *([f"{v:.12g}" for v in row] for row in zip(*columns))])
+    _save_table(tmp_path / "new.csv", ["a", "b", "c"], *columns)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()

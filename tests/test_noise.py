@@ -339,3 +339,25 @@ def test_filter_function_refuses_non_finite_weight():
         FilterFunction(omegas=omegas, W=np.array([1.0, np.nan, 0.5]))
     with pytest.raises(InvalidInputError, match="finite"):
         filter_weight(np.linspace(0.0, 1.0, 5), np.ones(5), np.array([0.0, np.nan]))
+
+
+def test_degenerate_noise_inputs_refused():
+    # a one-point grid ([0.0]) or a one-sample trace gave W = 0 and so a
+    # noise-free estimate, and a one-sample detuning trace an angle error of -0.0
+    p = KerrCatParams.from_alpha2(2.0)
+    t, _, deriv = gap_traces(scheme_z_straight(30.0, 0.58872, -1.07378, p), FockSpace(20))
+    ou = NoiseModel("ornstein-uhlenbeck", {"sigma": 1e-2, "tau_c": 3.0})
+    est = filter_weight(t, deriv, default_frequency_grid(30.0)).spectral_infidelity(ou)
+    assert est == pytest.approx(4.04e-5, rel=1e-2)
+    assert angle_error_functional(t, deriv, np.full(100, 1e-3)) != 0.0
+    for n_points in (1, 0, 2.5, True):
+        with pytest.raises(InvalidInputError, match="n_points"):
+            default_frequency_grid(30.0, n_points)
+    assert default_frequency_grid(30.0, 2) == pytest.approx([0.0, 1e-3 / 30.0])
+    with pytest.raises(InvalidInputError, match="2 or more"):
+        filter_weight(t[:1], deriv[:1], default_frequency_grid(30.0))
+    for trace in ([1e-3], []):
+        with pytest.raises(InvalidInputError, match="2 or more"):
+            angle_error_functional(t, deriv, trace)
+    with pytest.raises(InvalidInputError, match="2 or more"):
+        angle_error_functional(t[:1], deriv[:1], np.full(100, 1e-3))

@@ -1,3 +1,6 @@
+import json
+import warnings
+
 import numpy as np
 import pytest
 
@@ -157,3 +160,22 @@ def test_grid_optimize_propagates_faults_other_than_infeasibility(infeasible):
     scores = {h["eps_x0"]: h["score"] for h in rec.history}
     assert scores[0.2] == INFEASIBLE_SCORE
     assert scores[0.1] < INFEASIBLE_SCORE
+
+
+@pytest.mark.parametrize("bounds", [(float("nan"), 1.0), (0.0, float("inf")),
+                                    (-float("inf"), 1.0)])
+def test_param_space_refuses_non_finite_bounds(bounds):
+    # a NaN bound gave best_params {'x': nan}, and an infinite one warned
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidInputError, match="finite"):
+            ParamSpace.from_dict({"x": bounds})
+
+
+def test_record_json_lists_fields_in_order(tmp_path):
+    rec = OptimizationRecord({"x": 0.25}, 1 / 3, 1, [{"x": 0.25, "score": 1 / 3}])
+    path = tmp_path / "rec.json"
+    rec.to_json(path)
+    assert path.read_text() == json.dumps({"best_params": {"x": 0.25}, "best_score": 1 / 3,
+                                           "n_evaluations": 1,
+                                           "history": [{"x": 0.25, "score": 1 / 3}]}, indent=2)

@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -421,3 +422,25 @@ def test_idle_schedule_and_csv(tmp_path):
     rows = path.read_text().strip().splitlines()
     assert rows[0] == "t,eps_x"
     assert len(rows) == 12
+
+
+def test_builders_refuse_non_finite_amplitudes():
+    # inf times the envelope's zero ends warned and built NaN samples, and a
+    # NaN ramp passed straight-line Z's `eps2_ramp0 > 0` test
+    p = KerrCatParams.from_alpha2(2.0)
+    inf, nan = float("inf"), float("nan")
+    calls = [(lambda: scheme_x(10.0, inf, p), "eps_x0"),
+             (lambda: scheme_x(10.0, nan, p), "eps_x0"),
+             (lambda: scheme_z_straight(10.0, inf, -0.5, p), "delta_max"),
+             (lambda: scheme_z_straight(10.0, -inf, -0.5, p), "delta_max"),
+             (lambda: scheme_z_straight(30.0, 0.5, nan, p), "eps2_ramp0"),
+             (lambda: scheme_z_straight(30.0, 0.5, -inf, p), "eps2_ramp0"),
+             (lambda: scheme_xx_envelope(10.0, inf), "g0"),
+             (lambda: scheme_xx_envelope(10.0, nan, constant=True), "g0")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call, name in calls:
+            with pytest.raises(InvalidInputError, match=name):
+                call()
+        times, g = scheme_xx_envelope(10.0, 0.3, n_samples=11, constant=True)
+        assert g.tolist() == [0.3] * 11

@@ -267,6 +267,13 @@ def test_robust_cache_matches_direct_roots():
         assert abs(float(cache(float(a2))) - direct) < 1e-6
 
 
+@pytest.mark.parametrize("n_points", [1, 0, 2.5, True])
+def test_robust_cache_refuses_bad_point_count(n_points):
+    # one point failed in scipy's interpolator, and 2.5 with numpy's TypeError
+    with pytest.raises(InvalidInputError, match="n_points"):
+        RobustLineCache(1.0, 2.0, FockSpace(20), n_points=n_points)
+
+
 def test_robust_cache_rejects_non_finite_alpha2():
     # a NaN cat size gave a NaN detuning; as NoRobustPointError the robust-line
     # scheme would have scored it an infeasible point instead of a bad input
