@@ -309,9 +309,9 @@ def cmd_gate_sweep(cfg: dict, out: Path) -> int:
         writer.writerow(["scheme", "alpha2", "T", "avg_infidelity", "feasible",
                          "version", "config_hash"])
         for r in records:
-            writer.writerow([r["scheme"], r["alpha2"], r["T"],
-                             r.get("avg_infidelity", ""), r["feasible"],
-                             meta["version"], meta["config_hash"]])
+            avg = f"{r['avg_infidelity']:.12g}" if "avg_infidelity" in r else ""
+            writer.writerow([r["scheme"], f"{r['alpha2']:.12g}", f"{r['T']:.12g}", avg,
+                             r["feasible"], meta["version"], meta["config_hash"]])
     return 0
 
 

@@ -163,29 +163,34 @@ def present_channels(drift, ops, values):
     return [op for op, p in zip(ops, present) if p], values[..., present]
 
 
-def block_hamiltonians(drift, ops, values, block) -> np.ndarray:
-    """drift + sum_j values[..., j] ops[j] on the ``block`` x ``block`` slice, stacked.
+def block_hamiltonians(drift, ops, values, blocks) -> np.ndarray:
+    """drift + sum_j values[..., j] ops[j] on each ``block`` x ``block`` slice, stacked.
 
-    The stack runs over the leading axes of ``values`` and is float64 when the
-    drift and every operator are. Without operators the drift block is
-    broadcast over the stack (a read-only view).
+    ``blocks`` is a group of slices that select equally many rows. The stack
+    runs over the leading axes of ``values`` and then over the group, shape
+    (*values.shape[:-1], len(blocks), b, b), and is float64 when the drift and
+    every operator are. Without operators the drift blocks are broadcast over
+    the stack (a read-only view).
     """
-    mats = np.array([m[block, block] for m in (drift, *ops)])
-    b = mats.shape[-1]
+    mats = np.array([[m[block, block] for block in blocks] for m in (drift, *ops)])
+    shape = (*values.shape[:-1], *mats.shape[1:])
     if not ops:
-        return np.broadcast_to(mats[0], (*values.shape[:-1], b, b))
+        return np.broadcast_to(mats[0], shape)
     rows = int(np.prod(values.shape[:-1]))
-    H = values.reshape(rows, len(ops)) @ mats[1:].reshape(len(ops), b * b)
+    H = values.reshape(rows, len(ops)) @ mats[1:].reshape(len(ops), -1)
     H += mats[0].reshape(-1)
-    return H.reshape(*values.shape[:-1], b, b)
+    return H.reshape(shape)
 
 
-def block_eigh(drift, ops, values, block) -> tuple[np.ndarray, np.ndarray]:
+def block_eigh(drift, ops, values, blocks) -> tuple[np.ndarray, np.ndarray]:
     """Ascending eigenpairs (w, V) of the :func:`block_hamiltonians` stack, V real if it is.
 
-    The library's one eigensolver call; a spectrum that is not finite raises InvalidInputError.
+    The library's one eigensolver call, one for the whole group of equal-size
+    ``blocks``: w and V carry the group's axis before each matrix's own, and each
+    matrix's eigenpairs are those of a call of its own. A spectrum that is not
+    finite raises InvalidInputError.
     """
-    w, V = np.linalg.eigh(block_hamiltonians(drift, ops, values, block))
+    w, V = np.linalg.eigh(block_hamiltonians(drift, ops, values, blocks))
     if not np.isfinite(w).all():
         raise InvalidInputError("Hamiltonian overflows: its spectrum is not finite")
     return w, V
@@ -244,14 +249,21 @@ class HamiltonianAssembly:
         return cls(params=params, drift=drift, channels=dict(channels))
 
     def at(self, channel_values: Mapping[str, float] | None = None) -> np.ndarray:
-        """Instantaneous Hamiltonian for the given channel scalars."""
+        """Instantaneous Hamiltonian for the given channel scalars.
+
+        An unknown channel, a non-finite value, or values that may overflow H
+        (the bound of :func:`present_channels`) raise InvalidInputError.
+        """
+        values = dict(channel_values or {})
+        for name, value in values.items():
+            if name not in self.channels:
+                raise InvalidInputError(f"unknown channel {name!r}")
+            _finite(value, f"value for channel {name!r}")
+        ops, present = present_channels(self.drift, [self.channels[name] for name in values],
+                                        np.array(list(values.values()), dtype=float))
         H = self.drift.copy()
-        if channel_values:
-            for name, value in channel_values.items():
-                if name not in self.channels:
-                    raise InvalidInputError(f"unknown channel {name!r}")
-                if _finite(value, f"value for channel {name!r}") != 0.0:
-                    H = H + value * self.channels[name]
+        for op, value in zip(ops, present):
+            H = H + value * op
         return H
 
 

@@ -77,7 +77,8 @@ def _step_eigenpairs(drift, ops, values, block, dt) -> tuple[np.ndarray, np.ndar
     (..., b) and V has shape (..., b, b), real when every operator is. A phase
     rounded by more than a radian, max|w| dt eps > 1, raises InvalidInputError.
     """
-    w, V = block_eigh(drift, ops, values, block)
+    w, V = block_eigh(drift, ops, values, [block])
+    w, V = w[..., 0, :], V[..., 0, :, :]  # the group of one block
     if np.abs(w).max() * dt * np.finfo(float).eps > 1:
         raise InvalidInputError("step phase |w| dt is beyond the float grid's resolution")
     return np.exp(-1j * (w * dt)), V

@@ -309,7 +309,8 @@ def _drag_exact(times, eps2_mod, eps2_dot, eps_y, eps_y_dot, params, space):
     split = np.empty(m)
     m2, my, mx = np.empty((3, m), dtype=complex)
     for piece in stack_pieces(m, assembly.drift.shape, np.result_type(assembly.drift, *live)):
-        energies, states = block_eigh(assembly.drift, live, table[piece], slice(None))
+        energies, states = block_eigh(assembly.drift, live, table[piece], [slice(None)])
+        energies, states = energies[:, 0], states[:, 0]  # the group of one block
         # contiguous like the one-piece stack, so every product rounds the same
         spans = np.concatenate([last, states[..., -2:]])
         overlap = np.linalg.svd(spans[:-1].conj().transpose(0, 2, 1) @ spans[1:],
@@ -348,7 +349,7 @@ def scheme_y_drag(
     ("exact"), its derivative-proportional first-order form ("approx"),
     or disables the correction ("off").
     """
-    if not eps2_ramp0 <= 0:  # NaN too: the DRAG tables diagonalize the ramp before any table check
+    if _finite(eps2_ramp0, "eps2_ramp0") > 0:
         raise InvalidRampError("eps2_ramp0 must be <= 0 (ramp lowers the cat size)")
     times = _sample_times(T, n_samples)
     f = truncated_gaussian(times, T)
@@ -514,7 +515,7 @@ def gap_traces(
     computational states then have no parity labels.
     """
     t = _sample_times(schedule.duration, n_samples)
-    gap, deriv, _ = _gap_slopes(*schedule.hamiltonian_table(space, t))
+    gap, deriv, _, _ = _gap_slopes(*schedule.hamiltonian_table(space, t))
     return t, gap, deriv
 
 

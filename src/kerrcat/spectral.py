@@ -86,12 +86,16 @@ def _block_spectra(drift: np.ndarray, ops, values: np.ndarray):
     d = drift.shape[-1]
     energies = np.empty((*values.shape[:-1], d))
     states = np.zeros((*values.shape[:-1], d, d), dtype=np.result_type(drift, *ops))
-    for block in parity_blocks(d):
-        w, V = block_eigh(drift, ops, values, block)
+    even, odd = parity_blocks(d)
+    # blocks of one size share an eigh call: both sectors at an even d, each its own at an odd d
+    for group in [(even, odd)] if d % 2 == 0 else [(even,), (odd,)]:
+        w, V = block_eigh(drift, ops, values, group)
         pivot = np.take_along_axis(V, np.argmax(np.abs(V), axis=-2)[..., None, :], axis=-2)
-        # a sector's columns are its Fock rows, filled from the top state down
-        energies[..., block] = w[..., ::-1]
-        states[..., block, block] = (V / (pivot / np.abs(pivot)))[..., ::-1]
+        V = V / (pivot / np.abs(pivot))
+        for i, block in enumerate(group):
+            # a sector's columns are its Fock rows, filled from the top state down
+            energies[..., block] = w[..., i, ::-1]
+            states[..., block, block] = V[..., i, :, ::-1]
     return energies, states
 
 
@@ -99,11 +103,14 @@ def _parity_spectra(drift: np.ndarray, ops, values: np.ndarray) -> tuple[np.ndar
     """Energies and states of H = drift + sum_j values[..., j] ops[j], stacked.
 
     Every operator must be Hermitian and commute with parity, which is not
-    checked here (see :func:`diagonalize_labeled`); each Fock parity block is
-    diagonalized on its own, real-symmetric (float64 states) when every
-    operator is float64. The columns follow the cat ladder: column k is the
-    (k // 2)-th state below the top of the sector of parity (-1)^k, so |0>, |1> are
-    columns 0 and 1, and the next state down in each sector is column 2 or 3.
+    checked here (see :func:`diagonalize_labeled`); the Fock parity blocks are
+    diagonalized apart, real-symmetric (float64 states) when every operator is
+    float64, with one ``eigh`` call per block size: one call for both blocks
+    at an even dimension, two at an odd one. Each block's eigenpairs are those
+    of an ``eigh`` call of its own, bit for bit. The columns follow the cat
+    ladder: column k is the (k // 2)-th state below the top of the sector of
+    parity (-1)^k, so |0>, |1> are columns 0 and 1, and the next state down in
+    each sector is column 2 or 3.
     Each state's largest-magnitude Fock coefficient is real and positive.
     """
     return _block_spectra(drift, *present_channels(drift, ops, values))
@@ -127,16 +134,38 @@ def _spectra_pieces(drift: np.ndarray, ops, values: np.ndarray):
         yield piece, *_block_spectra(drift, ops, values[piece])
 
 
+def _gap_curvatures(energies: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """d^2 E_01 / ddelta^2 of stacked labeled spectra, by second-order perturbation theory.
+
+    d^2 E_j / ddelta^2 = 2 sum_{m != j} |<m|n|j>|^2 / (E_j - E_m), where n keeps
+    parity, so m runs over the states of j's sector only. Every denominator is
+    at least that sector's gap, so the value is inf or nan only where the
+    computational state is degenerate with its sector neighbor.
+    """
+    d = energies.shape[-1]
+    curvature = np.zeros(energies.shape[:-1])
+    for j, sign in ((1, 2.0), (0, -2.0)):  # E_01 = E_1 - E_0
+        sector = slice(j, d, 2)
+        V, E = states[..., sector, sector], energies[..., sector]  # the top state first
+        coupling = np.einsum("...km,...k->...m", V.conj(), np.arange(d)[sector] * V[..., 0])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            curvature += sign * np.sum(np.abs(coupling[..., 1:]) ** 2
+                                       / (E[..., :1] - E[..., 1:]), axis=-1)
+    return curvature
+
+
 def _gap_slopes(drift: np.ndarray, ops, values: np.ndarray):
-    """E_01, dE_01/ddelta and the smaller parity-sector gap along a stack.
+    """E_01, dE_01/ddelta, d^2 E_01/ddelta^2 and the smaller parity-sector gap along a stack.
 
     Arguments as for :func:`_parity_spectra`. The stack is diagonalized in
-    the bounded pieces of :func:`_spectra_pieces`, and only the gaps and the
-    pair's population shift |psi_1|^2 - |psi_0|^2 (d per point) are kept, so
-    memory does not grow with the stack's length times d^2.
+    the bounded pieces of :func:`_spectra_pieces`, and only the gaps, the
+    curvatures (:func:`_gap_curvatures`) and the pair's population shift
+    |psi_1|^2 - |psi_0|^2 (d per point) are kept, so memory does not grow with
+    the stack's length times d^2.
     """
     d = drift.shape[-1]
     gap = np.empty(values.shape[:-1])
+    curvature = np.empty(values.shape[:-1])
     sector_gap = np.empty(values.shape[:-1])
     shift = np.empty((*values.shape[:-1], d))
     for piece, energies, states in _spectra_pieces(drift, ops, values):
@@ -144,10 +173,11 @@ def _gap_slopes(drift: np.ndarray, ops, values: np.ndarray):
         sector_gap[piece] = np.min(energies[..., :below.shape[-1]] - below, axis=-1,
                                    initial=np.inf)
         gap[piece] = energies[..., 1] - energies[..., 0]
+        curvature[piece] = _gap_curvatures(energies, states)
         shift[piece] = np.abs(states[..., 1]) ** 2 - np.abs(states[..., 0]) ** 2
     # one product over the whole stack: BLAS groups a matrix-vector product's
     # rows by the stack's length, so a product per piece can differ in the last bit
-    return gap, shift @ np.arange(d), sector_gap
+    return gap, shift @ np.arange(d), curvature, sector_gap
 
 
 def diagonalize_labeled(H: np.ndarray) -> LabeledSpectrum:
@@ -197,20 +227,20 @@ def energy_gap(params: KerrCatParams, delta_shift: float, space: FockSpace) -> f
 
 
 def _checked_slopes(assembly: HamiltonianAssembly, deltas, neighbor_tol: float):
-    """Gap derivatives and sector gaps at the detuning shifts ``deltas``.
+    """Gap derivatives, their curvatures and the sector gaps at the detuning shifts ``deltas``.
 
     Refuses near-degenerate states: raises :class:`IllConditionedError` when
     a sector gap falls below ``neighbor_tol`` K (InvalidInputError unless finite, >= 0).
     """
     if not 0 <= neighbor_tol < np.inf:
         raise InvalidInputError(f"neighbor_tol must be finite and >= 0, got {neighbor_tol!r}")
-    _, slopes, sector_gap = _gap_slopes(assembly.drift, [assembly.channels["delta"]],
-                                        np.asarray(deltas, dtype=float)[:, None])
+    _, slopes, curvatures, sector_gap = _gap_slopes(
+        assembly.drift, [assembly.channels["delta"]], np.asarray(deltas, dtype=float)[:, None])
     if np.any(sector_gap < neighbor_tol * assembly.params.kerr):
         raise IllConditionedError(
             "computational state nearly degenerate with its parity-sector neighbor"
         )
-    return slopes, sector_gap
+    return slopes, curvatures, sector_gap
 
 
 def gap_derivative(
@@ -228,7 +258,7 @@ def gap_derivative(
     """
     _finite(delta_shift, "value for channel 'delta'")
     assembly = HamiltonianAssembly.build(params, space)
-    (slope,), _ = _checked_slopes(assembly, [delta_shift], neighbor_tol)
+    (slope,), _, _ = _checked_slopes(assembly, [delta_shift], neighbor_tol)
     return float(slope)
 
 
@@ -244,8 +274,13 @@ def robust_line(alpha2: float, space: FockSpace) -> float:
     """Detuning delta_rob in (0, 1) where the gap derivative vanishes, in units of K.
 
     A 16-point scan brackets the first + -> - sign change of the
-    Hellmann-Feynman derivative, and Illinois false position finds the root
-    inside that bracket. Raises :class:`NoRobustPointError` when the
+    Hellmann-Feynman derivative f = dE_01/ddelta, and Newton's method on f,
+    with f' the curvature d^2 E_01/ddelta^2 from the same eigenpairs (see
+    :func:`_gap_curvatures`), finds the root inside that bracket: a step that
+    would leave the bracket bisects it instead. The search starts at the
+    bracket's false-position point and ends at a Newton step under 1e-10 K,
+    so at dimension 24 to 40 a root takes 3 or 4 single-point spectra after
+    its bracket. Raises :class:`NoRobustPointError` when the
     derivative does not change sign in (0, K), or when the zero sits on an
     avoided crossing with leakage states, both of which happen for small cat
     sizes. Raises :class:`IllConditionedError` when the root's rounding
@@ -257,7 +292,7 @@ def robust_line(alpha2: float, space: FockSpace) -> float:
     params = KerrCatParams.from_alpha2(alpha2)
     assembly = HamiltonianAssembly.build(params, space)
     grid = np.linspace(1 / 16, 1 - 1e-9, 16)
-    values, sector_gaps = _checked_slopes(assembly, grid, NEIGHBOR_TOL)
+    values, _, _ = _checked_slopes(assembly, grid, NEIGHBOR_TOL)
     crossings = np.flatnonzero((values[:-1] > 0) & (values[1:] <= 0))
     if len(crossings) == 0:
         raise NoRobustPointError(
@@ -268,20 +303,16 @@ def robust_line(alpha2: float, space: FockSpace) -> float:
     if 64 * np.finfo(float).eps * space.dim * (hi - lo) / (f_lo - f_hi) > 1e-6:
         raise IllConditionedError(f"gap derivative at alpha2={alpha2} changes by only "
                                   f"{f_lo - f_hi:.2g} across its bracket: root set by rounding")
-    root, step, side, sector_gap = lo, hi - lo, 0, sector_gaps[k]
-    # Illinois false position: the bracket keeps f(lo) > 0 >= f(hi), and the
-    # value at an end kept twice in a row is halved, so both ends close in and
-    # the steps shrink superlinearly; a step under 1e-10 K ends the search
+    root, step = (lo * f_hi - hi * f_lo) / (f_hi - f_lo), np.inf
+    # the bracket keeps f(lo) > 0 >= f(hi); a Newton step needs f' < 0, as at
+    # the gap's maximum, and a step under 1e-10 K is taken without a new spectrum
     while abs(step) > 1e-10:
-        new = (lo * f_hi - hi * f_lo) / (f_hi - f_lo)
+        (f,), (curvature,), (sector_gap,) = _checked_slopes(assembly, [root], NEIGHBOR_TOL)
+        lo, hi = (root, hi) if f > 0 else (lo, root)
+        new = root - f / curvature if curvature < 0 else np.nan
+        if not lo <= new <= hi:
+            new = (lo + hi) / 2
         step, root = new - root, new
-        (f,), (sector_gap,) = _checked_slopes(assembly, [root], NEIGHBOR_TOL)
-        if f > 0:
-            f_hi = f_hi / 2 if side > 0 else f_hi
-            lo, f_lo, side = root, f, 1
-        else:
-            f_lo = f_lo / 2 if side < 0 else f_lo
-            hi, f_hi, side = root, f, -1
 
     if sector_gap < ROBUST_SECTOR_GAP_MIN:
         raise NoRobustPointError(

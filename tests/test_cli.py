@@ -1,3 +1,4 @@
+import csv
 import json
 from unittest import mock
 
@@ -297,3 +298,21 @@ def test_gate_sweep_small(tmp_path):
     assert rec["avg_infidelity"] < 1e-2
     csv_rows = (out / "gate_sweep.csv").read_text().strip().splitlines()
     assert len(csv_rows) == 2
+
+
+def test_gate_sweep_csv_writes_12_significant_digits(tmp_path):
+    # the alpha2, T and avg_infidelity columns were Python reprs such as
+    # 0.0004276650473475178; like every other table they carry 12 digits
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "scheme": "X", "alpha2_list": [2.0], "T_list": [20.0],
+        "fock_dim": 10, "n_steps": 40, "n_nodes": 3,
+        "coarse_n": 2, "refine_rounds": 1,
+    }))
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg), "--out", str(out), "gate-sweep"]) == 0
+    (rec,) = json.loads((out / "gate_sweep.json").read_text())["records"]
+    with open(out / "gate_sweep.csv", newline="") as fh:
+        (row,) = csv.DictReader(fh)
+    assert row["alpha2"] == "2" and row["T"] == "20"
+    assert row["avg_infidelity"] == f"{rec['avg_infidelity']:.12g}"

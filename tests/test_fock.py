@@ -1,6 +1,7 @@
 import csv
 import pickle
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -105,6 +106,21 @@ def test_at_validates_inputs():
     assert hermiticity_defect(H) < 1e-14
 
 
+@pytest.mark.parametrize("values", [{"delta": 1e308}, {"eps_x": 0.5, "eps2_mod": -1e308}])
+def test_overflowing_channel_value_refused_without_warning(values):
+    # an overflowing value warned and returned a matrix with inf entries; it is
+    # refused by the bound that refuses an overflowing table
+    p = KerrCatParams.from_alpha2(2.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidInputError, match="overflows"):
+            build_hamiltonian(p, FockSpace(10), values)
+        with pytest.raises(InvalidInputError, match="overflows"):
+            HamiltonianAssembly.build(p, FockSpace(10)).at(values)
+        # the largest values under the bound give a finite matrix
+        assert np.isfinite(build_hamiltonian(p, FockSpace(10), {"eps_y": -1e307})).all()
+
+
 def test_pure_kerr_spectrum():
     # alpha^2 = 0, delta = 0: eigenvalues are -K/2 n(n-1)
     space = FockSpace(5)
@@ -169,7 +185,7 @@ def test_real_operators_are_float64():
     values = np.array([0.3])
     tracemalloc.start()
     try:
-        H = block_hamiltonians(H0, [coupling], values, slice(None))
+        (H,) = block_hamiltonians(H0, [coupling], values, [slice(None)])
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -128,7 +128,7 @@ def test_apply_step_matches_expm(kind, dim, batch_shape, n_prior, seed, dt):
         ops = list((A + np.swapaxes(A, -1, -2).conj()).reshape(-1, dim, dim))
         drift, block = np.zeros((dim, dim)), slice(0, dim)
         values = np.eye(len(ops)).reshape(*A.shape[:-2], len(ops))
-    H = block_hamiltonians(drift, ops, values, block)
+    H = block_hamiltonians(drift, ops, values, [block])[..., 0, :, :]
     b = H.shape[-1]
     U = np.broadcast_to(np.eye(b, dtype=complex), H.shape[1:]).copy()
     ref = U.reshape(-1, b, b).copy()
@@ -175,7 +175,8 @@ def test_drift_only_diagonal_phases():
     for n_steps in (50, 51):
         with recorded_eigh() as seen:
             res = propagate(s, space, n_steps=n_steps)
-        assert [shape for _, shape in seen] == [(1, 25 + n_steps % 2, 3, 3)] * 2
+        # one eigh per parity block, each a group of one (the axis before the matrix's)
+        assert [shape for _, shape in seen] == [(1, 25 + n_steps % 2, 1, 3, 3)] * 2
         assert np.linalg.norm(res.unitary - expected) < 1e-10
         assert res.step_count == n_steps
 
@@ -786,8 +787,8 @@ def test_kept_basis_keeps_kernel_paths():
         propagate_many(s, SPACE, [0.0], n_steps=60)
     (drift, ops, _, _), = calls
     half = propagation.KEPT_STATES // 2
-    # the drift's two blocks are diagonalized once, then the two step stacks
-    assert sorted(shape for _, shape in seen) == [(1, 30, half, half)] * 2 + [(15, 15)] * 2
+    # the drift's two equal blocks are diagonalized in one call, then the two step stacks
+    assert sorted(shape for _, shape in seen) == [(1, 30, 1, half, half)] * 2 + [(2, 15, 15)]
     assert np.array_equal(drift, np.diag(np.diag(drift)))
     spec = diagonalize_labeled(HamiltonianAssembly.build(p, SPACE).drift)
     assert np.allclose(np.diag(drift)[:2], spec.energies[:2], atol=1e-12)

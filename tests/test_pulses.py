@@ -227,14 +227,21 @@ def test_scheme_y_validation_and_envelope():
         scheme_y_drag(20.0, 0.5, 0.1, p, SPACE)  # positive ramp
     with pytest.raises(InvalidRampError):
         scheme_y_drag(20.0, 0.5, -2.5, p, SPACE)  # cat size would go negative
-    for mode in ("approx", "exact"):
-        with pytest.raises(InvalidRampError):
-            scheme_y_drag(20.0, 0.5, np.nan, p, SPACE, drag_mode=mode)
     s = scheme_y_drag(20.0, 0.5, -1.0, p, SPACE, drag_mode="off", n_samples=101)
     assert np.allclose(s.channels["eps_x"], 0.0)
     assert s.alpha2_of_t().min() == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(ValueError):
         scheme_y_drag(20.0, 0.5, -1.0, p, SPACE, drag_mode="bogus")
+
+
+@pytest.mark.parametrize("mode", ["off", "approx", "exact"])
+def test_scheme_y_nan_ramp_is_bad_input(mode):
+    # a NaN ramp failed the sign test as InvalidRampError, which the grid
+    # search scores as an infeasible point instead of refusing the input
+    p = KerrCatParams.from_alpha2(2.0)
+    with pytest.raises(InvalidInputError, match="eps2_ramp0") as info:
+        scheme_y_drag(20.0, 0.1, np.nan, p, FockSpace(20), drag_mode=mode, n_samples=21)
+    assert not isinstance(info.value, InvalidRampError)
 
 
 @pytest.mark.parametrize("mode", ["off", "approx", "exact"])

@@ -167,7 +167,7 @@ def test_full_two_mode_one_eigh_per_step_matches_expm(dim, phase):
         U = full_two_mode_propagate(replace(pa, delta=dA), replace(pb, delta=dB), space,
                                     (times, g), phase=phase, n_steps=n_steps)
     real = np.float64 if phase == 0.0 else np.complex128
-    assert seen == [(real, (dim**2, dim**2))] * n_steps
+    assert seen == [(real, (1, dim**2, dim**2))] * n_steps  # a group of one block
     H0, coupling = two_mode_hamiltonian_parts(pa, pb, space, phase)
     n, eye = number_operator(space), np.eye(dim)
     H0 = H0 + dA * np.kron(n, eye) + dB * np.kron(eye, n)
@@ -186,7 +186,7 @@ def test_full_two_mode_g_zero_takes_real_path():
     times = np.linspace(0.0, 4.0, 41)
     with recorded_eigh() as seen:
         U = full_two_mode_propagate(pa, pa, space, (times, np.zeros(41)), phase=0.7, n_steps=5)
-    assert seen == [(np.float64, (9, 9))] * 5
+    assert seen == [(np.float64, (1, 9, 9))] * 5
     ref = full_two_mode_propagate(pa, pa, space, (times, np.zeros(41)), n_steps=5)
     assert np.array_equal(U, ref)
 
