@@ -27,6 +27,15 @@ class CatBasis:
     minus_cat: np.ndarray
 
 
+def _check_truncation(alpha2: float, space: FockSpace) -> None:
+    """Raise TruncationError unless ``space`` holds a cat of size alpha^2.
+
+    The rule: the Fock dimension must exceed alpha^2 + 8 sqrt(alpha^2 + 1).
+    """
+    if space.dim <= alpha2 + 8 * sqrt(alpha2 + 1):
+        raise TruncationError(f"dim={space.dim} too small for alpha^2={alpha2:.3g}")
+
+
 def coherent_vector(alpha: float, space: FockSpace) -> np.ndarray:
     """Fock expansion of |alpha>, exp(-a^2/2) alpha^n / sqrt(n!), for real alpha of either sign."""
     if alpha == 0:
@@ -45,10 +54,7 @@ def cat_vectors(alpha: float, space: FockSpace) -> CatBasis:
     """
     if not alpha >= 0:  # NaN too
         raise InvalidInputError(f"alpha must be >= 0, got {alpha}")
-    if space.dim <= alpha**2 + 8 * sqrt(alpha**2 + 1):
-        raise TruncationError(
-            f"dim={space.dim} too small for alpha^2={alpha**2:.3g}"
-        )
+    _check_truncation(alpha**2, space)
     if alpha == 0:
         plus, minus = np.eye(2, space.dim, dtype=complex)  # |0> and |1>
         return CatBasis(plus_cat=plus, minus_cat=minus)

@@ -30,6 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from .cats import TruncationError
 from .fidelity import average_infidelity
 from .fock import FockSpace, KerrCatParams
 from .noise import (InvalidNoiseModelError, NoiseModel, default_frequency_grid, filter_weight,
@@ -172,7 +173,7 @@ def make_builder(scheme: str, alpha2: float, T: float, cfg: dict, space: FockSpa
     if scheme == "Z_ROBUSTLINE":
         try:
             rl_cache = RobustLineCache(0.95, max(alpha2, 1.0), space, n_points=40)
-        except NoRobustPointError as exc:
+        except (NoRobustPointError, TruncationError) as exc:
             raise SchemeInfeasibleError("no robust-line cache for this cat size") from exc
 
         def build(tau, eps2_ramp0):
@@ -249,7 +250,10 @@ def _sweep_point(scheme: str, alpha2: float, T: float, cfg: dict, space: FockSpa
 
 def _write_robust_line(path: Path, alpha2s, space: FockSpace, meta: dict,
                        with_gap: bool = False) -> None:
-    """One row per cat size with a robust point; ``with_gap`` adds the gap there."""
+    """One row per cat size with a robust point in a Fock space that holds the cat.
+
+    ``with_gap`` adds the gap there.
+    """
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["alpha2", "delta_rob", *(["gap"] if with_gap else []),
@@ -257,7 +261,7 @@ def _write_robust_line(path: Path, alpha2s, space: FockSpace, meta: dict,
         for a2 in alpha2s:
             try:
                 d = robust_line(float(a2), space)
-            except (NoRobustPointError, IllConditionedError):
+            except (NoRobustPointError, IllConditionedError, TruncationError):
                 continue
             gap = ([f"{spectrum_at(KerrCatParams.from_alpha2(a2), d, space).gap:.12g}"]
                    if with_gap else [])

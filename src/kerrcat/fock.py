@@ -125,7 +125,7 @@ def parity_blocks(dim: int) -> tuple[slice, slice]:
 
 def keeps_parity(op: np.ndarray) -> bool:
     """True when ``op`` has no entries between even and odd Fock states."""
-    return not (np.any(op[0::2, 1::2]) or np.any(op[1::2, 0::2]))
+    return not (op[0::2, 1::2].any() or op[1::2, 0::2].any())
 
 
 #: float64 entries of each stacked array the library holds at once, a complex
@@ -154,12 +154,15 @@ def present_channels(drift, ops, values):
     ``values[..., j]`` holds the scalars that multiply ``ops[j]``. The table is
     refused first, whole, with InvalidInputError when the bound
     max|drift| + sum_j |v_j| max|O_j| on the entries of its H is not finite.
+    When every channel is present, ``values`` is returned as given.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         bound = np.abs(values) @ [np.abs(op).max() for op in ops] + np.abs(drift).max()
     if not np.isfinite(bound).all():
         raise InvalidInputError("Hamiltonian overflows: the bound on its entries is not finite")
-    present = np.any(values, axis=tuple(range(values.ndim - 1)))
+    present = values.any(axis=tuple(range(values.ndim - 1)))
+    if present.all():
+        return list(ops), values
     return [op for op, p in zip(ops, present) if p], values[..., present]
 
 
@@ -176,8 +179,7 @@ def block_hamiltonians(drift, ops, values, blocks) -> np.ndarray:
     shape = (*values.shape[:-1], *mats.shape[1:])
     if not ops:
         return np.broadcast_to(mats[0], shape)
-    rows = int(np.prod(values.shape[:-1]))
-    H = values.reshape(rows, len(ops)) @ mats[1:].reshape(len(ops), -1)
+    H = values.reshape(-1, len(ops)) @ mats[1:].reshape(len(ops), -1)
     H += mats[0].reshape(-1)
     return H.reshape(shape)
 

@@ -21,6 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .cats import _check_truncation
 from .fock import (
     FockSpace,
     HamiltonianAssembly,
@@ -90,8 +91,12 @@ def _block_spectra(drift: np.ndarray, ops, values: np.ndarray):
     # blocks of one size share an eigh call: both sectors at an even d, each its own at an odd d
     for group in [(even, odd)] if d % 2 == 0 else [(even,), (odd,)]:
         w, V = block_eigh(drift, ops, values, group)
-        pivot = np.take_along_axis(V, np.argmax(np.abs(V), axis=-2)[..., None, :], axis=-2)
-        V = V / (pivot / np.abs(pivot))
+        b = V.shape[-1]
+        flat = V.reshape(-1, b, b)  # each state's pivot: its largest-magnitude Fock coefficient
+        pivot = flat[np.arange(len(flat))[:, None], np.abs(flat).argmax(axis=1), np.arange(b)]
+        pivot = pivot.reshape(*V.shape[:-2], 1, b)
+        # a real pivot's phase is its sign, by which V is multiplied exactly
+        V = V * np.sign(pivot) if np.isrealobj(V) else V / (pivot / np.abs(pivot))
         for i, block in enumerate(group):
             # a sector's columns are its Fock rows, filled from the top state down
             energies[..., block] = w[..., i, ::-1]
@@ -147,10 +152,10 @@ def _gap_curvatures(energies: np.ndarray, states: np.ndarray) -> np.ndarray:
     for j, sign in ((1, 2.0), (0, -2.0)):  # E_01 = E_1 - E_0
         sector = slice(j, d, 2)
         V, E = states[..., sector, sector], energies[..., sector]  # the top state first
-        coupling = np.einsum("...km,...k->...m", V.conj(), np.arange(d)[sector] * V[..., 0])
+        # <m|n|j> for every m of the sector, as the row vector (n psi_j)^T conj(V)
+        coupling = ((np.arange(d)[sector] * V[..., 0])[..., None, :] @ V.conj())[..., 0, 1:]
         with np.errstate(divide="ignore", invalid="ignore"):
-            curvature += sign * np.sum(np.abs(coupling[..., 1:]) ** 2
-                                       / (E[..., :1] - E[..., 1:]), axis=-1)
+            curvature += sign * (np.abs(coupling) ** 2 / (E[..., :1] - E[..., 1:])).sum(axis=-1)
     return curvature
 
 
@@ -170,8 +175,8 @@ def _gap_slopes(drift: np.ndarray, ops, values: np.ndarray):
     shift = np.empty((*values.shape[:-1], d))
     for piece, energies, states in _spectra_pieces(drift, ops, values):
         below = energies[..., 2:4]  # the next state down in each sector, if any
-        sector_gap[piece] = np.min(energies[..., :below.shape[-1]] - below, axis=-1,
-                                   initial=np.inf)
+        sector_gap[piece] = (energies[..., :below.shape[-1]] - below).min(
+            axis=-1, initial=np.inf)
         gap[piece] = energies[..., 1] - energies[..., 0]
         curvature[piece] = _gap_curvatures(energies, states)
         shift[piece] = np.abs(states[..., 1]) ** 2 - np.abs(states[..., 0]) ** 2
@@ -270,17 +275,41 @@ def gap_derivative(
 ROBUST_SECTOR_GAP_MIN = 1.2
 
 
+def _newton_in_bracket(fn, lo: float, hi: float, x: float):
+    """Root of ``fn`` in [lo, hi], where fn(lo) > 0 >= fn(hi), by Newton's method from ``x``.
+
+    ``fn(x)`` returns f(x), f'(x) and any further values. The bracket keeps the
+    sign change; a Newton step needs f' < 0, as at a + -> - crossing, and a step
+    that would leave the bracket bisects it instead. A step under 1e-10 ends the
+    search and is taken without another evaluation. Returns the root and the
+    further values of the last evaluation.
+    """
+    step = np.inf
+    while abs(step) > 1e-10:
+        f, slope, *rest = fn(x)
+        lo, hi = (x, hi) if f > 0 else (lo, x)
+        new = x - f / slope if slope < 0 else np.nan
+        if not lo <= new <= hi:
+            new = (lo + hi) / 2
+        step, x = new - x, new
+    return x, rest
+
+
 def robust_line(alpha2: float, space: FockSpace) -> float:
     """Detuning delta_rob in (0, 1) where the gap derivative vanishes, in units of K.
 
-    A 16-point scan brackets the first + -> - sign change of the
+    An 8-point scan brackets the first + -> - sign change of the
     Hellmann-Feynman derivative f = dE_01/ddelta, and Newton's method on f,
     with f' the curvature d^2 E_01/ddelta^2 from the same eigenpairs (see
     :func:`_gap_curvatures`), finds the root inside that bracket: a step that
-    would leave the bracket bisects it instead. The search starts at the
-    bracket's false-position point and ends at a Newton step under 1e-10 K,
-    so at dimension 24 to 40 a root takes 3 or 4 single-point spectra after
-    its bracket. Raises :class:`NoRobustPointError` when the
+    would leave the bracket bisects it instead. The search starts at the root
+    of the cubic Hermite interpolant of f on the bracket, whose end slopes are
+    the curvatures the scan already has, and ends at a Newton step under
+    1e-10 K, so at dimension 16 to 60 a root takes 2 or 3 single-point
+    spectra after its bracket. Raises :class:`~kerrcat.cats.TruncationError`,
+    before any spectrum, when the Fock dimension cannot hold the cat (the
+    rule of :func:`~kerrcat.cats.cat_vectors`). Raises
+    :class:`NoRobustPointError` when the
     derivative does not change sign in (0, K), or when the zero sits on an
     avoided crossing with leakage states, both of which happen for small cat
     sizes. Raises :class:`IllConditionedError` when the root's rounding
@@ -290,29 +319,34 @@ def robust_line(alpha2: float, space: FockSpace) -> float:
     ``K * robust_line(alpha2, space)``: H / K depends on delta / K and alpha^2 only.
     """
     params = KerrCatParams.from_alpha2(alpha2)
+    _check_truncation(alpha2, space)
     assembly = HamiltonianAssembly.build(params, space)
-    grid = np.linspace(1 / 16, 1 - 1e-9, 16)
-    values, _, _ = _checked_slopes(assembly, grid, NEIGHBOR_TOL)
+    grid = np.linspace(1 / 16, 1 - 1e-9, 8)
+    values, curvatures, _ = _checked_slopes(assembly, grid, NEIGHBOR_TOL)
     crossings = np.flatnonzero((values[:-1] > 0) & (values[1:] <= 0))
     if len(crossings) == 0:
         raise NoRobustPointError(
             f"gap derivative has no + -> - sign change in (0, K) at alpha2={alpha2}"
         )
     k = crossings[0]
-    (lo, hi), (f_lo, f_hi) = grid[k:k + 2], values[k:k + 2]
+    (lo, hi), (f_lo, f_hi), (c_lo, c_hi) = grid[k:k + 2], values[k:k + 2], curvatures[k:k + 2]
     if 64 * np.finfo(float).eps * space.dim * (hi - lo) / (f_lo - f_hi) > 1e-6:
         raise IllConditionedError(f"gap derivative at alpha2={alpha2} changes by only "
                                   f"{f_lo - f_hi:.2g} across its bracket: root set by rounding")
-    root, step = (lo * f_hi - hi * f_lo) / (f_hi - f_lo), np.inf
-    # the bracket keeps f(lo) > 0 >= f(hi); a Newton step needs f' < 0, as at
-    # the gap's maximum, and a step under 1e-10 K is taken without a new spectrum
-    while abs(step) > 1e-10:
-        (f,), (curvature,), (sector_gap,) = _checked_slopes(assembly, [root], NEIGHBOR_TOL)
-        lo, hi = (root, hi) if f > 0 else (lo, root)
-        new = root - f / curvature if curvature < 0 else np.nan
-        if not lo <= new <= hi:
-            new = (lo + hi) / 2
-        step, root = new - root, new
+    # the cubic Hermite interpolant f_lo + s (c + s (b + s a)), s = (x - lo) / h,
+    # takes the values and curvatures of f at both ends of the bracket
+    h = hi - lo
+    c = h * c_lo
+    b = 3 * (f_hi - f_lo) - h * (2 * c_lo + c_hi)
+    a = 2 * (f_lo - f_hi) + h * (c_lo + c_hi)
+
+    def cubic(x):
+        s = (x - lo) / h
+        return f_lo + s * (c + s * (b + s * a)), (c + s * (2 * b + 3 * s * a)) / h
+
+    start, _ = _newton_in_bracket(cubic, lo, hi, (lo * f_hi - hi * f_lo) / (f_hi - f_lo))
+    root, (sector_gap,) = _newton_in_bracket(
+        lambda x: [v[0] for v in _checked_slopes(assembly, [x], NEIGHBOR_TOL)], lo, hi, start)
 
     if sector_gap < ROBUST_SECTOR_GAP_MIN:
         raise NoRobustPointError(
@@ -343,18 +377,25 @@ def gap_landscape(
     alpha2_grid: Sequence[float],
     space: FockSpace,
 ) -> GapLandscape:
-    """Gap and derivative over a rectangular (delta, alpha^2) grid, in units of K."""
+    """Gap and derivative over a rectangular (delta, alpha^2) grid, in units of K.
+
+    Each grid must be one-dimensional; any other raises :class:`InvalidInputError`.
+    """
     deltas = np.asarray(delta_grid, dtype=float)
     alpha2s = np.asarray(alpha2_grid, dtype=float)
+    for name, grid in (("delta_grid", deltas), ("alpha2_grid", alpha2s)):
+        if grid.ndim != 1:
+            raise InvalidInputError(f"{name} must be one-dimensional, got shape {grid.shape}")
     gap = np.empty((len(deltas), len(alpha2s)))
     deriv = np.empty_like(gap)
+    n = np.arange(space.dim)
     for j, a2 in enumerate(alpha2s):
         params = KerrCatParams.from_alpha2(a2)
         for i, d in enumerate(deltas):
             spec = spectrum_at(params, d, space)
             gap[i, j] = spec.gap
             # Hellmann-Feynman: <psi_1|n|psi_1> - <psi_0|n|psi_0>
-            deriv[i, j] = (np.abs(spec.psi1) ** 2 - np.abs(spec.psi0) ** 2) @ np.arange(space.dim)
+            deriv[i, j] = (np.abs(spec.psi1) ** 2 - np.abs(spec.psi0) ** 2) @ n
     return GapLandscape(delta_grid=deltas, alpha2_grid=alpha2s, gap=gap, gap_deriv=deriv)
 
 

@@ -6,7 +6,9 @@ import pytest
 
 from kerrcat import cli, noise
 from kerrcat.cli import (ConfigError, DEFAULTS, PRESETS, config_hash,
-                         load_config, main)
+                         load_config, main, make_builder)
+from kerrcat.fock import FockSpace
+from kerrcat.pulses import SchemeInfeasibleError
 
 
 def test_presets_complete():
@@ -182,6 +184,19 @@ def test_robust_line_command(tmp_path):
     assert d15 == pytest.approx(0.3503, abs=2e-3)
 
 
+def test_robust_line_command_skips_cat_the_space_cannot_hold(tmp_path):
+    # dim 10 cannot hold the cat of alpha^2 2, where the search returned 0.3671
+    # against the converged 0.32240: no row, as for a cat size with no robust point
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"fock_dim": 10, "alpha2_list": [2.0]}))
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg), "--out", str(out), "robust-line"]) == 0
+    rows = (out / "robust_line.csv").read_text().splitlines()
+    assert rows == ["alpha2,delta_rob,gap,version,config_hash"]
+    with pytest.raises(SchemeInfeasibleError, match="no robust-line cache for this cat size"):
+        make_builder("Z_ROBUSTLINE", 2.0, 30.0, {}, FockSpace(10))
+
+
 def test_spectrum_command(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"fock_dim": 20, "n_delta": 6, "n_alpha2": 5}))
@@ -254,7 +269,9 @@ def test_convergence_command(tmp_path):
 
 @pytest.mark.parametrize("scheme, extra", [
     ("KERR_GATE", {}),
-    ("Z_ROBUSTLINE", {"T": 40.0, "pulse_params": {"tau": 5.0, "eps2_ramp0": -0.5}}),
+    # dim 16 is the smallest that holds the cat of alpha^2 2 the robust line needs
+    ("Z_ROBUSTLINE", {"T": 40.0, "fock_dim": 16,
+                      "pulse_params": {"tau": 5.0, "eps2_ramp0": -0.5}}),
     ("Z_STRAIGHT", {"pulse_params": {"delta_max": 0.4, "eps2_ramp0": -0.5}}),
     ("Y_DRAG", {"pulse_params": {"eps_y0": 0.3, "eps2_ramp0": -0.5}}),
 ])

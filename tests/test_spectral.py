@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kerrcat import spectral
+from kerrcat.cats import TruncationError
 from kerrcat.fock import (FockSpace, InvalidInputError, KerrCatParams, build_hamiltonian,
                           destroy, number_operator, parity_operator)
 from kerrcat.propagation import adiabaticity_diagnostic
@@ -102,36 +103,61 @@ def test_robust_line_reference_points(alpha2, expected):
     assert robust_line(alpha2, SPACE) == pytest.approx(expected, abs=2e-4)
 
 
-def test_robust_line_matches_fine_scan_root():
-    # reference: the first + -> - sign change of a 256-point scan of the
-    # single-point derivative, solved by Brent's method; the library's
-    # 16-point bracket must find the same root
+def _fine_scan_root(alpha2, space):
+    """The first + -> - sign change of a 256-point scan of the single-point
+    derivative, solved by Brent's method; None where no usable root exists
+    (no sign change, or a sector gap under ROBUST_SECTOR_GAP_MIN at the root)."""
     from scipy.optimize import brentq
 
-    space = FockSpace(24)
+    params = KerrCatParams.from_alpha2(alpha2)
     grid = np.linspace(1 / 256, 1 - 1e-9, 256)
-    for alpha2 in np.linspace(1.0, 3.0, 11):
-        params = KerrCatParams.from_alpha2(alpha2)
-        slope = [gap_derivative(params, d, space) for d in grid]
-        k = next(i for i in range(len(grid) - 1) if slope[i] > 0 >= slope[i + 1])
-        ref = brentq(lambda d: gap_derivative(params, d, space), grid[k], grid[k + 1],
-                     xtol=1e-12)
-        assert abs(robust_line(alpha2, space) - ref) < 1e-9, alpha2
+    slope = [gap_derivative(params, d, space) for d in grid]
+    k = next((i for i in range(len(grid) - 1) if slope[i] > 0 >= slope[i + 1]), None)
+    if k is None:
+        return None
+    root = brentq(lambda d: gap_derivative(params, d, space), grid[k], grid[k + 1], xtol=1e-12)
+    energies = spectrum_at(params, root, space).energies
+    return root if min(energies[:2] - energies[2:4]) >= spectral.ROBUST_SECTOR_GAP_MIN else None
+
+
+def test_robust_line_matches_fine_scan_root():
+    # the library's 8-point bracket and Hermite-started Newton search must
+    # find the fine scan's root, or refuse where it has none, also at an odd
+    # dim and below alpha^2 1, where the small cats have no usable root
+    for dim in (24, 25):
+        space = FockSpace(dim)
+        for alpha2 in [*np.linspace(0.3, 0.9, 4), *np.linspace(1.0, 3.0, 11)]:
+            ref = _fine_scan_root(alpha2, space)
+            if ref is None:
+                with pytest.raises(NoRobustPointError):
+                    robust_line(alpha2, space)
+            else:
+                assert abs(robust_line(alpha2, space) - ref) < 1e-9, (dim, alpha2)
 
 
 def test_robust_line_newton_takes_few_spectra():
-    # after its 16-point bracket, Newton's method on the Hellmann-Feynman
-    # curvature takes at most 4 single-point spectra per root, and at the even
-    # dim 24 each spectrum is one eigh call
+    # after its 8-point bracket, Newton's method started at the bracket's
+    # Hermite-cubic root takes 2 or 3 single-point spectra per root, and at
+    # the even dim 24 each spectrum is one eigh call
     space = FockSpace(24)
     for alpha2 in np.linspace(1.0, 3.0, 11):
         with mock.patch.object(spectral, "_block_spectra", wraps=spectral._block_spectra) as spy, \
                 mock.patch.object(np.linalg, "eigh", wraps=np.linalg.eigh) as eigh:
             robust_line(alpha2, space)
         points = [len(call.args[2]) for call in spy.call_args_list]
-        assert points[0] == 16 and 1 <= len(points) - 1 <= 4, (alpha2, points)
+        assert points[0] == 8 and 2 <= len(points) - 1 <= 3, (alpha2, points)
         assert points[1:] == [1] * (len(points) - 1)
         assert eigh.call_count == len(points)
+
+
+@pytest.mark.parametrize("dim", [7, 9, 10])
+def test_robust_line_refuses_truncated_space(dim):
+    # these dims cannot hold the cat of alpha^2 2 (cats.cat_vectors's rule);
+    # the search returned 0.0763, 0.2428 and 0.3671 there, against 0.32240
+    with mock.patch.object(spectral, "_block_spectra") as spectra, \
+            pytest.raises(TruncationError, match=f"dim={dim}"):
+        robust_line(2.0, FockSpace(dim))
+    spectra.assert_not_called()
 
 
 def test_robust_line_refuses_root_set_by_rounding():
@@ -295,6 +321,16 @@ def test_gap_landscape_grid_and_csv(tmp_path):
     rows = path.read_text().strip().splitlines()
     assert rows[0] == "delta,alpha2,gap,gap_deriv"
     assert len(rows) == 1 + 3 * 2
+
+
+@pytest.mark.parametrize("deltas, alpha2s, name", [
+    ([[0.0, 0.2], [0.4, 0.6]], [1.0, 2.0], "delta_grid"),  # numpy's "truth value ... ambiguous"
+    ([0.0, 0.2], [[1.0, 2.0], [2.5, 3.0]], "alpha2_grid"),  # numpy's "inhomogeneous shape"
+    (0.2, [1.0], "delta_grid"),
+])
+def test_gap_landscape_refuses_grid_not_1d(deltas, alpha2s, name):
+    with pytest.raises(InvalidInputError, match=name):
+        gap_landscape(deltas, alpha2s, FockSpace(12))
 
 
 def test_robust_cache_matches_direct_roots():
